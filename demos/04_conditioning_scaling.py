@@ -8,18 +8,12 @@
 
 import numpy as np
 
-from weilfit import (CHEBYSHEV_ORTHONORMAL, UNIT_WEIGHTS, StudyConfig,
-                     basis_matrix, compute_weights, mc_sample, realize_cell,
-                     weil_grid)
+from weilfit import (CHEBYSHEV_ORTHONORMAL, StudyConfig, condition, mc_sample,
+                     realize_cell, weil_grid)
 
 
 def cond_A(pts, index_set):
-    D = basis_matrix(CHEBYSHEV_ORTHONORMAL, index_set, pts)
-    w = compute_weights(UNIT_WEIGHTS, pts)
-    s = np.linalg.svd(D * np.sqrt(w)[:, None], compute_uv=False)
-    if s[-1] <= 0:
-        return float("inf")
-    return float((s[0] / s[-1]) ** 2)
+    return condition(pts, index_set, CHEBYSHEV_ORTHONORMAL).cond_A
 
 
 RULES = [("quadratic", 0.5), ("linear", 2.0), ("linear", 12.0)]

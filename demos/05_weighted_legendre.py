@@ -16,8 +16,8 @@ emulates the uniform inner product while inheriting the grid's stability.
 import numpy as np
 
 from weilfit import (LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS, SingularSystemError,
-                     StudyConfig, WeightScheme, basis_matrix, compute_weights,
-                     l2_error, mc_sample, realize_cell, solve, weil_grid)
+                     StudyConfig, WeightScheme, condition, l2_error, mc_sample,
+                     realize_cell, solve, weil_grid)
 from weilfit.targets import coefficients, make
 
 WEIGHTED = WeightScheme("density_ratio", "uniform")
@@ -25,12 +25,7 @@ REPS = 20
 
 
 def cond_A(pts, index_set, scheme):
-    D = basis_matrix(LEGENDRE_ORTHONORMAL, index_set, pts)
-    w = compute_weights(scheme, pts)
-    s = np.linalg.svd(D * np.sqrt(w)[:, None], compute_uv=False)
-    if s[-1] <= 0:
-        return float("inf")
-    return float((s[0] / s[-1]) ** 2)
+    return condition(pts, index_set, LEGENDRE_ORTHONORMAL, scheme).cond_A
 
 
 f = make("expsum", coefficients("expsum", 2))

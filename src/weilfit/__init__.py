@@ -14,18 +14,18 @@ from .indexsets import (IndexSet, as_indices, build_index_set, order_less,
 from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
                        equidist_box_fraction, is_prime, mc_sample,
                        nearest_prime, point_array, weil_exponential_sum,
-                       weil_grid, write_points_csv)
+                       weil_grid, write_csv, write_points_csv)
 from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                         LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
                         eval_1d, eval_tensor)
 from .lstsq import (ConditionReport, FitResult, SingularSystemError,
-                    UNIT_WEIGHTS, WeightScheme, compute_weights, evaluate_fit,
-                    gram, solve)
+                    UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
+                    evaluate_fit, gram, solve)
 from .diagnostics import (ErrorReport, GramBoundReport, check_gram_bounds,
                           l2_error, reference_projection, spectral_gap,
                           write_error_reports_csv, write_gram_reports_csv)
 from . import targets
-from .cli import StudyConfig, realize_cell
+from .study import StudyConfig, realize_cell
 
 __version__ = "0.1.0"
 
@@ -34,11 +34,12 @@ __all__ = [
     "td_cardinality", "total_order", "tp_cardinality",
     "SampleSet", "WeilGrid", "arcsine_box_measure", "equidist_box_fraction",
     "is_prime", "mc_sample", "nearest_prime", "point_array",
-    "weil_exponential_sum", "weil_grid", "write_points_csv",
+    "weil_exponential_sum", "weil_grid", "write_csv", "write_points_csv",
     "BasisSpec", "CHEBYSHEV_CLASSICAL", "CHEBYSHEV_ORTHONORMAL",
     "LEGENDRE_ORTHONORMAL", "basis_matrix", "eval_1d", "eval_tensor",
     "ConditionReport", "FitResult", "SingularSystemError", "UNIT_WEIGHTS",
-    "WeightScheme", "compute_weights", "evaluate_fit", "gram", "solve",
+    "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
+    "solve",
     "ErrorReport", "GramBoundReport", "check_gram_bounds", "l2_error",
     "reference_projection", "spectral_gap", "write_error_reports_csv",
     "write_gram_reports_csv",

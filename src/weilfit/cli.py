@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: argparse and CSV formatting.
 
 Subcommands
 -----------
@@ -14,193 +14,43 @@ failure (singular system), 4 I/O error.
 
 Every output CSV starts with `# key=value` comment lines echoing the full
 resolved configuration, enough to re-run the command.  Floats are written as
-shortest round-trip decimals.  Study cells run in deterministic (q,
-repetition) order; Monte Carlo cells draw their points from PCG64 seeded with
-SeedSequence([seed, q, rep]), and weil grids force repetitions=1.
+shortest round-trip decimals.  The study protocol lives in `weilfit.study`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import diagnostics, targets
-from .indexsets import build_index_set
-from .lstsq import (SingularSystemError, UNIT_WEIGHTS, WeightScheme,
-                    compute_weights, solve)
+from . import diagnostics, study, targets
+from .indexsets import KINDS, build_index_set
+from .lstsq import (SingularSystemError, TARGET_DENSITIES, WEIGHT_KINDS,
+                    condition, solve)
 from .pointgen import (arcsine_box_measure, equidist_box_fraction, is_prime,
-                       mc_sample, nearest_prime, weil_exponential_sum,
-                       weil_grid, write_points_csv)
-from .polybasis import BasisSpec, basis_matrix
-
-GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
-SCALINGS = ("linear", "quadratic")
+                       nearest_prime, weil_exponential_sum, weil_grid,
+                       write_csv, write_points_csv)
+from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
 
-# ---------------------------------------------------------------------------
-# study configuration
-
-@dataclass
-class StudyConfig:
-    space: str = "TD"
-    d: int = 2
-    q_min: int = 1
-    q_max: int = 10
-    scaling: str = "quadratic"
-    c: float = 0.5
-    family: str = "chebyshev"
-    normalization: str = "orthonormal"
-    weights: str = "unit"
-    target_density: str = "uniform"
-    grid: str = "weil"
-    repetitions: int = 100
-    seed: int = 0
-    target: str = "expsum"
-    coeffs: str = ""        # comma-separated floats; empty = published set
-    coeff_seed: int = -1    # -1 = unset
-    n_test: int = 2000
-
-    def __post_init__(self):
-        if self.space not in ("TP", "TD"):
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.scaling not in SCALINGS:
-            raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.grid not in GRIDS:
-            raise ValueError(f"unknown grid {self.grid!r}")
-        if self.q_min < 0 or self.q_max < self.q_min:
-            raise ValueError(f"bad q range [{self.q_min}, {self.q_max}]")
-        if self.c <= 0:
-            raise ValueError(f"scaling constant c must be positive, got {self.c}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.grid == "weil":
-            self.repetitions = 1  # deterministic grid: averaging is a no-op
-
-    def basis_spec(self) -> BasisSpec:
-        return BasisSpec(self.family, self.normalization)
-
-    def weight_scheme(self) -> WeightScheme:
-        if self.weights == "unit":
-            return UNIT_WEIGHTS
-        return WeightScheme("density_ratio", self.target_density)
-
-    def target_coeffs(self):
-        if self.coeffs:
-            return tuple(float(t) for t in self.coeffs.split(","))
-        seed = None if self.coeff_seed < 0 else self.coeff_seed
-        return targets.coefficients(self.target, self.d, seed)
-
-    def echo_lines(self):
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out.append(f"{f.name}={v}")
-        return out
+def _study_row(q, N, m, M, val):
+    assert is_prime(M) and m == M // 2 + 1  # emit-time bookkeeping check
+    return [q, N, m, M, repr(float(val)) if np.isfinite(val) else "inf"]
 
 
-def _coerce(text, typ):
-    if typ is int:
-        return int(text)
-    if typ is float:
-        return float(text)
-    return text
-
-
-def load_config(path) -> dict:
-    """Parse a flat key=value config file ('#' starts a comment)."""
-    known = {f.name: f.type for f in fields(StudyConfig)}
-    typemap = {"int": int, "float": float, "str": str}
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, val = (t.strip() for t in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(val, typemap.get(str(known[key]), str))
-    return values
-
-
-def resolve_config(args) -> StudyConfig:
-    """Config file first, then explicit command-line overrides."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
-    for f in fields(StudyConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            values[f.name] = v
-    return StudyConfig(**values)
-
-
-# ---------------------------------------------------------------------------
-# study cells
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def realize_cell(cfg: StudyConfig, q: int):
-    """(index_set, N, m, M) for one study cell.
-
-    m_target = round(c*N) or round(c*N^2); M = nearest_prime(2*m_target - 1);
-    m = floor(M/2)+1.  The same prime rule fixes the point count for Monte
-    Carlo cells so weil and MC rows are comparable at equal m.
-    """
-    index_set = build_index_set(cfg.space, q, cfg.d)
-    N = index_set.N
-    size = N * N if cfg.scaling == "quadratic" else N
-    m_target = max(1, _round_half_up(cfg.c * size))
-    M = nearest_prime(max(2, 2 * m_target - 1))
-    m = M // 2 + 1
-    return index_set, N, m, M
-
-
-def _cell_points(cfg: StudyConfig, q: int, m: int, M: int, rep: int):
-    if cfg.grid == "weil":
-        return weil_grid(M, cfg.d)
-    seed = int(np.random.SeedSequence([cfg.seed, q, rep]).generate_state(1)[0])
-    measure = "chebyshev" if cfg.grid == "mc_chebyshev" else "uniform"
-    return mc_sample(measure, m, cfg.d, seed)
-
-
-def _cond_A(pts, index_set, spec, scheme) -> float:
-    D = basis_matrix(spec, index_set, pts)
-    w = compute_weights(scheme, pts)
-    s = np.linalg.svd(D * np.sqrt(w)[:, None], compute_uv=False)
-    if s.size < len(index_set.indices) or s[-1] <= 0.0:
-        return float("inf")
-    c = float(s[0] / s[-1])
-    return c * c
-
-
-def _open_out(path):
-    try:
-        return open(path, "w", newline="")
-    except OSError:
-        raise
-
-
-def _write_study_csv(path, cfg, colname, rows, rep_lines):
-    with _open_out(path) as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        for line in rep_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["q", "N", "m", "M", colname])
-        for q, N, m, M, val in rows:
-            assert is_prime(M) and m == M // 2 + 1  # emit-time bookkeeping check
-            writer.writerow([q, N, m, M, repr(float(val)) if np.isfinite(val) else "inf"])
+def _write_study(args, cfg, colname, value, comments=()):
+    """Run the study, then write its CSV: the config echo, `comments`, one
+    `# rep` line per repetition when there are several, and the rows."""
+    rows, reps = study.run(cfg, value)
+    lines = cfg.echo_lines() + list(comments)
+    if cfg.repetitions > 1:
+        lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
+    write_csv(args.out, lines, ["q", "N", "m", "M", colname],
+              [_study_row(*row) for row in rows])
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
 
 
 def cmd_points(args) -> int:
@@ -264,70 +114,50 @@ def cmd_fit(args) -> int:
         )
     index_set = build_index_set(args.space, args.q, pts.shape[1])
     spec = BasisSpec(args.family, args.normalization)
-    scheme = (UNIT_WEIGHTS if args.weights == "unit"
-              else WeightScheme("density_ratio", args.target_density))
+    scheme = study.weight_scheme(args.weights, args.target_density)
     fit = solve(pts, fvals, index_set, spec, scheme)
     rep = fit.condition_report
-    with _open_out(args.out) as fh:
-        for line in [f"space={args.space}", f"q={args.q}", f"d={pts.shape[1]}",
-                     f"family={args.family}", f"normalization={args.normalization}",
-                     f"weights={args.weights}", f"target_density={args.target_density}",
-                     f"n_points={pts.shape[0]}", f"N={index_set.N}",
-                     f"cond_D={repr(rep.cond_D)}", f"cond_A={repr(rep.cond_A)}",
-                     f"residual_norm={repr(fit.residual_norm)}"]:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "coefficient"])
-        for n, coef in zip(index_set.indices, fit.coefficients):
-            writer.writerow(["(" + ",".join(str(c) for c in n) + ")", repr(float(coef))])
+    write_csv(args.out,
+              [f"space={args.space}", f"q={args.q}", f"d={pts.shape[1]}",
+               f"family={args.family}", f"normalization={args.normalization}",
+               f"weights={args.weights}", f"target_density={args.target_density}",
+               f"n_points={pts.shape[0]}", f"N={index_set.N}",
+               f"cond_D={repr(rep.cond_D)}", f"cond_A={repr(rep.cond_A)}",
+               f"residual_norm={repr(fit.residual_norm)}"],
+              ["index", "coefficient"],
+              [["(" + ",".join(str(c) for c in n) + ")", repr(float(coef))]
+               for n, coef in zip(index_set.indices, fit.coefficients)])
     print(f"N={index_set.N} cond_D={rep.cond_D:.6e} cond_A={rep.cond_A:.6e} "
           f"residual={fit.residual_norm:.6e}")
     return 0
 
 
 def cmd_cond_study(args) -> int:
-    cfg = resolve_config(args)
+    cfg = study.resolve_config(args)
     spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
-    rows, rep_lines = [], []
-    for q in range(cfg.q_min, cfg.q_max + 1):
-        index_set, N, m, M = realize_cell(cfg, q)
-        vals = []
-        for rep in range(cfg.repetitions):
-            pts = _cell_points(cfg, q, m, M, rep)
-            vals.append(_cond_A(pts, index_set, spec, scheme))
-            if cfg.repetitions > 1:
-                rep_lines.append(f"rep q={q} rep={rep} cond_A={repr(vals[-1])}")
-        rows.append((q, N, m, M, float(np.mean(vals))))
-    _write_study_csv(args.out, cfg, "cond_A", rows, rep_lines)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+
+    def cond_A(pts, index_set):
+        return condition(pts, index_set, spec, scheme).cond_A
+
+    return _write_study(args, cfg, "cond_A", cond_A)
 
 
 def cmd_conv_study(args) -> int:
-    cfg = resolve_config(args)
+    cfg = study.resolve_config(args)
     spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
     coeffs = cfg.target_coeffs()
     f = targets.make(cfg.target, coeffs)
-    rows, rep_lines = [], []
-    rep_lines.append("target_coeffs=" + ",".join(repr(float(v)) for v in coeffs))
-    for q in range(cfg.q_min, cfg.q_max + 1):
-        index_set, N, m, M = realize_cell(cfg, q)
-        vals = []
-        for rep in range(cfg.repetitions):
-            pts = _cell_points(cfg, q, m, M, rep)
-            try:
-                fit = solve(pts, f(pts), index_set, spec, scheme)
-                err = diagnostics.l2_error(fit, f, cfg.n_test, seed=cfg.seed,
-                                           scaling=cfg.scaling, c=cfg.c).l2_error
-            except SingularSystemError:
-                err = float("inf")
-            vals.append(err)
-            if cfg.repetitions > 1:
-                rep_lines.append(f"rep q={q} rep={rep} l2_error={repr(vals[-1])}")
-        rows.append((q, N, m, M, float(np.mean(vals))))
-    _write_study_csv(args.out, cfg, "l2_error", rows, rep_lines)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+
+    def l2_error(pts, index_set):
+        try:
+            fit = solve(pts, f(pts), index_set, spec, scheme)
+        except SingularSystemError:
+            return float("inf")
+        return diagnostics.l2_error(fit, f, cfg.n_test, seed=cfg.seed,
+                                    scaling=cfg.scaling, c=cfg.c).l2_error
+
+    return _write_study(args, cfg, "l2_error", l2_error,
+                        ["target_coeffs=" + ",".join(repr(float(v)) for v in coeffs)])
 
 
 def parse_boxes(text: str, d: int):
@@ -356,15 +186,13 @@ def cmd_equidist(args) -> int:
     M = nearest_prime(args.M)
     grid = weil_grid(M, args.d)
     boxes = parse_boxes(args.boxes, args.d)
-    with _open_out(args.out) as fh:
-        for line in [f"M={M}", f"M_target={args.M}", f"d={args.d}", f"boxes={args.boxes}"]:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["box", "observed_fraction", "arcsine_measure", "abs_deviation"])
-        for token, box in boxes:
-            frac = equidist_box_fraction(grid, box)
-            meas = arcsine_box_measure(box)
-            writer.writerow([token, repr(frac), repr(meas), repr(abs(frac - meas))])
+    rows = []
+    for token, box in boxes:
+        frac = equidist_box_fraction(grid, box)
+        meas = arcsine_box_measure(box)
+        rows.append([token, repr(frac), repr(meas), repr(abs(frac - meas))])
+    write_csv(args.out, [f"M={M}", f"M_target={args.M}", f"d={args.d}", f"boxes={args.boxes}"],
+              ["box", "observed_fraction", "arcsine_measure", "abs_deviation"], rows)
     print(f"M={M}")
     print(f"wrote {len(boxes)} rows to {args.out}")
     return 0
@@ -429,19 +257,26 @@ def cmd_check_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_basis_flags(p, defaults):
+    """--space/--family/--normalization/--weights/--target-density, defaulting
+    to the fields of `defaults` (None leaves them unset)."""
+    for name, choices in (("space", KINDS), ("family", FAMILIES),
+                          ("normalization", NORMALIZATIONS),
+                          ("weights", WEIGHT_KINDS),
+                          ("target_density", TARGET_DENSITIES)):
+        p.add_argument("--" + name.replace("_", "-"), dest=name, choices=list(choices),
+                       default=getattr(defaults, name, None))
+
+
 def _add_study_flags(p):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--space", choices=["TP", "TD"])
+    _add_basis_flags(p, None)
     p.add_argument("--d", type=int, dest="d")
     p.add_argument("--q-min", type=int, dest="q_min")
     p.add_argument("--q-max", type=int, dest="q_max")
-    p.add_argument("--scaling", choices=list(SCALINGS))
+    p.add_argument("--scaling", choices=list(study.SCALINGS))
     p.add_argument("--c", type=float, dest="c")
-    p.add_argument("--family", choices=["chebyshev", "legendre"])
-    p.add_argument("--normalization", choices=["classical", "orthonormal"])
-    p.add_argument("--weights", choices=["unit", "density_ratio"])
-    p.add_argument("--target-density", choices=["uniform", "chebyshev"], dest="target_density")
-    p.add_argument("--grid", choices=list(GRIDS))
+    p.add_argument("--grid", choices=list(study.GRIDS))
     p.add_argument("--repetitions", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--target", choices=list(targets.TARGET_NAMES))
@@ -468,14 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="least-squares fit of tabulated values")
     p.add_argument("--points", required=True, help="CSV from the points subcommand")
     p.add_argument("--values", required=True, help="CSV/text with one value per point row")
-    p.add_argument("--space", choices=["TP", "TD"], default="TD")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--family", choices=["chebyshev", "legendre"], default="chebyshev")
-    p.add_argument("--normalization", choices=["classical", "orthonormal"],
-                   default="orthonormal")
-    p.add_argument("--weights", choices=["unit", "density_ratio"], default="unit")
-    p.add_argument("--target-density", choices=["uniform", "chebyshev"],
-                   dest="target_density", default="uniform")
+    _add_basis_flags(p, study.StudyConfig())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

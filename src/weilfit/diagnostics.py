@@ -22,7 +22,6 @@ The checks quantify three facts that make the grids work:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .indexsets import as_indices
 from .lstsq import UNIT_WEIGHTS, FitResult, evaluate_fit, gram
-from .pointgen import is_prime, mc_sample, point_array, weil_grid
+from .pointgen import is_prime, mc_sample, point_array, weil_grid, write_csv
 from .polybasis import CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix
 
 # Floating-point slack on the analytic bounds.
@@ -242,34 +241,20 @@ def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0,
 
 def write_gram_reports_csv(reports, path, header_comments=()) -> None:
     """Schema: M,d,q,max_offdiag,offdiag_bound,diag_min,diag_max,pass"""
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["M", "d", "q", "max_offdiag", "offdiag_bound",
-                         "diag_min", "diag_max", "pass"])
-        for r in reports:
-            writer.writerow([
-                r.M, r.d, r.q,
+    write_csv(path, header_comments,
+              ["M", "d", "q", "max_offdiag", "offdiag_bound", "diag_min", "diag_max", "pass"],
+              ([r.M, r.d, r.q,
                 repr(r.max_offdiag_abs), repr(r.offdiag_bound),
                 repr(r.diag_min), repr(r.diag_max),
-                "true" if r.passed else "false",
-            ])
+                "true" if r.passed else "false"] for r in reports))
 
 
 def write_error_reports_csv(reports, path, header_comments=()) -> None:
     """Schema: d,q,rule,c,m,M,l2_error"""
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["d", "q", "rule", "c", "m", "M", "l2_error"])
-        for r in reports:
-            writer.writerow([
-                r.d, r.q,
+    write_csv(path, header_comments, ["d", "q", "rule", "c", "m", "M", "l2_error"],
+              ([r.d, r.q,
                 "" if r.scaling is None else r.scaling,
                 "" if r.c is None else repr(float(r.c)),
                 r.m,
                 "" if r.M is None else r.M,
-                repr(r.l2_error),
-            ])
+                repr(r.l2_error)] for r in reports))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .indexsets import as_indices
 from .pointgen import point_array
-from .polybasis import BasisSpec, basis_matrix
+from .polybasis import BasisSpec, basis_matrix, check_domain
 
 WEIGHT_KINDS = ("unit", "density_ratio")
 TARGET_DENSITIES = ("uniform", "chebyshev")
@@ -96,8 +96,7 @@ class FitResult:
 def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
     """Evaluate the weight vector on a point set (all |y| <= 1 required)."""
     arr = point_array(pts)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("density-ratio weights are defined only on [-1,1]^d")
+    check_domain(arr)
     n, d = arr.shape
     if scheme.kind == "unit" or scheme.target_density == "chebyshev":
         return np.ones(n)
@@ -105,9 +104,26 @@ def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
 
 
 def _scaled_design(pts, index_set, basis, weights):
-    D = basis_matrix(basis, index_set, pts)
+    """(w, diag(sqrt(w)) D), scaled in place so D is never held twice."""
+    Dw = basis_matrix(basis, index_set, pts)
     w = compute_weights(weights, pts)
-    return D, w, D * np.sqrt(w)[:, None]
+    Dw *= np.sqrt(w)[:, None]
+    return w, Dw
+
+
+def _condition_report(s, N) -> ConditionReport:
+    """cond_D = s_max/s_min from the singular values s of an m x N scaled
+    design; inf when m < N or s_min = 0."""
+    cond_D = float(s[0] / s[-1]) if s.size == N and s[-1] > 0.0 else float("inf")
+    return ConditionReport(cond_D, cond_D * cond_D)
+
+
+def condition(pts, index_set, basis: BasisSpec,
+              weights: WeightScheme = UNIT_WEIGHTS) -> ConditionReport:
+    """cond_D and cond_A of the scaled design matrix, as `solve` reports
+    them, from its singular values alone (U and V are never formed)."""
+    _, Dw = _scaled_design(pts, index_set, basis, weights)
+    return _condition_report(np.linalg.svd(Dw, compute_uv=False), Dw.shape[1])
 
 
 def solve(pts, fvals, index_set, basis: BasisSpec,
@@ -125,9 +141,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
     Returns
     -------
-    FitResult.  Raises ValueError if npts < N (under-determined) and
-    SingularSystemError if the scaled design matrix has relative singular
-    values below 1e-12.
+    FitResult.  Raises ValueError if npts < N (under-determined) or a point
+    or value is not finite, and SingularSystemError if the scaled design
+    matrix has relative singular values below 1e-12.
     """
     arr = point_array(pts)
     indices = as_indices(index_set)
@@ -136,22 +152,20 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         raise ValueError(
             f"got {arr.shape[0]} points but {f.shape[0]} function values"
         )
+    if not np.all(np.isfinite(f)):
+        raise ValueError("function values must be finite")
     N = len(indices)
     if arr.shape[0] < N:
         raise ValueError(
             f"under-determined system: {arr.shape[0]} points for {N} basis functions"
         )
-    D, w, Dw = _scaled_design(arr, indices, basis, weights)
+    w, Dw = _scaled_design(arr, indices, basis, weights)
     bw = f * np.sqrt(w)
     U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
-    if s[-1] > 0.0:
-        cond_D = float(s[0] / s[-1])
-    else:
-        cond_D = float("inf")
-    report = ConditionReport(cond_D, cond_D * cond_D)
-    if not np.isfinite(cond_D) or s[-1] <= RANK_TOL * s[0]:
+    report = _condition_report(s, N)
+    if not np.isfinite(report.cond_D) or s[-1] <= RANK_TOL * s[0]:
         raise SingularSystemError(
-            f"rank-deficient least-squares system (cond_D = {cond_D:.3e})",
+            f"rank-deficient least-squares system (cond_D = {report.cond_D:.3e})",
             report,
         )
     coeffs = Vt.T @ ((U.T @ bw) / s)
@@ -172,6 +186,6 @@ def gram(pts, index_set, basis: BasisSpec,
     Built from the scaled design matrix as B^T B with B = diag(sqrt(w)) D and
     symmetrized exactly; positive semidefinite by construction.
     """
-    _, _, Dw = _scaled_design(pts, index_set, basis, weights)
+    _, Dw = _scaled_design(pts, index_set, basis, weights)
     A = Dw.T @ Dw
     return (A + A.T) / 2.0

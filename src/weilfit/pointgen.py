@@ -74,6 +74,14 @@ def nearest_prime(target: int) -> int:
         delta += 1
 
 
+def _check_modulus(M: int) -> None:
+    if not is_prime(M):
+        raise ValueError(f"modulus M={M} is not prime")
+    if M > _INT64_SAFE_MODULUS:
+        raise ValueError(f"modulus M={M} exceeds {_INT64_SAFE_MODULUS}, the largest "
+                         f"with exact int64 residues")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A batch of points in [-1,1]^d with provenance metadata."""
@@ -89,7 +97,7 @@ class WeilGrid:
 
     M: int
     d: int
-    residues: np.ndarray  # (m+1, d) int64 (or object for huge M), exact j^k mod M
+    residues: np.ndarray  # (m+1, d) int64, exact j^k mod M
     points: np.ndarray    # (m+1, d) float64
 
     @property
@@ -109,7 +117,7 @@ def weil_grid(M: int, d: int) -> WeilGrid:
 
     Parameters
     ----------
-    M : prime modulus (validated; composite M raises ValueError)
+    M : prime modulus, at most 3 037 000 499 (validated; else ValueError)
     d : dimension, >= 1
 
     Returns
@@ -119,21 +127,15 @@ def weil_grid(M: int, d: int) -> WeilGrid:
     M, d = int(M), int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not is_prime(M):
-        raise ValueError(f"modulus M={M} is not prime")
+    _check_modulus(M)
     m = M // 2
     js = np.arange(m + 1, dtype=np.int64)
     residues = np.empty((m + 1, d), dtype=np.int64)
-    if M <= _INT64_SAFE_MODULUS:
-        r = js % M
-        residues[:, 0] = r
-        for k in range(1, d):
-            r = (r * js) % M
-            residues[:, k] = r
-    else:
-        for j in range(m + 1):
-            for k in range(d):
-                residues[j, k] = pow(j, k + 1, M)
+    r = js % M
+    residues[:, 0] = r
+    for k in range(1, d):
+        r = (r * js) % M
+        residues[:, k] = r
     points = np.cos(2.0 * np.pi * residues / M)
     return WeilGrid(M, d, residues, points)
 
@@ -180,12 +182,11 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
 
     Requires prime M and at least one coefficient not divisible by M, the
     hypotheses of Weil's bound |sum| <= (d-1)*sqrt(M).  The residues f(j) mod M
-    are computed by integer Horner evaluation; each term contributes one
-    complex exponential.
+    are computed by exact int64 Horner evaluation, so M <= 3 037 000 499; each
+    term contributes one complex exponential.
     """
     M = int(M)
-    if not is_prime(M):
-        raise ValueError(f"modulus M={M} is not prime")
+    _check_modulus(M)
     cmod = [int(c) % M for c in coeffs]
     if not cmod:
         raise ValueError("empty coefficient list")
@@ -194,22 +195,12 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
             "all coefficients are divisible by M; the exponential-sum bound "
             "hypothesis fails"
         )
-    if M <= _INT64_SAFE_MODULUS:
-        js = np.arange(M, dtype=np.int64)
-        acc = np.zeros(M, dtype=np.int64)
-        for c in reversed(cmod):  # Horner: f(x) = x*(c_1 + x*(c_2 + ...))
-            acc = (acc * js + c) % M
-        acc = (acc * js) % M
-    else:
-        acc = np.array([_horner_mod(cmod, j, M) for j in range(M)], dtype=float)
+    js = np.arange(M, dtype=np.int64)
+    acc = np.zeros(M, dtype=np.int64)
+    for c in reversed(cmod):  # Horner: f(x) = x*(c_1 + x*(c_2 + ...))
+        acc = (acc * js + c) % M
+    acc = (acc * js) % M
     return complex(np.exp((2j * np.pi / M) * acc).sum())
-
-
-def _horner_mod(cmod, x, M):
-    acc = 0
-    for c in reversed(cmod):
-        acc = (acc * x + c) % M
-    return acc * x % M
 
 
 def _validate_box(box, d):
@@ -242,6 +233,16 @@ def arcsine_box_measure(box) -> float:
     return meas
 
 
+def write_csv(path, comments, header, rows) -> None:
+    """Write one `# line` per comment, then the header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_points_csv(pts, path, header_comments=()) -> None:
     """Dump points as CSV with header j,y1,...,yd.
 
@@ -250,11 +251,5 @@ def write_points_csv(pts, path, header_comments=()) -> None:
     round-trip).
     """
     arr = point_array(pts)
-    d = arr.shape[1]
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["j"] + [f"y{i+1}" for i in range(d)])
-        for j, row in enumerate(arr):
-            writer.writerow([j] + [repr(float(v)) for v in row])
+    write_csv(path, header_comments, ["j"] + [f"y{i+1}" for i in range(arr.shape[1])],
+              ([j] + [repr(float(v)) for v in row] for j, row in enumerate(arr)))

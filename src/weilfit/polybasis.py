@@ -53,10 +53,11 @@ CHEBYSHEV_ORTHONORMAL = BasisSpec("chebyshev", "orthonormal")
 LEGENDRE_ORTHONORMAL = BasisSpec("legendre", "orthonormal")
 
 
-def _domain_check(y):
-    if np.any(np.abs(y) > 1.0):
+def check_domain(y) -> None:
+    """Raise ValueError unless every coordinate is finite and in [-1, 1]."""
+    if not np.all(np.abs(y) <= 1.0):  # also false for NaN
         bad = float(np.max(np.abs(y)))
-        raise ValueError(f"evaluation point outside [-1,1]: max |y| = {bad}")
+        raise ValueError(f"evaluation points must lie in [-1,1]; max |y| = {bad}")
 
 
 def _legendre_column(y, n):
@@ -73,14 +74,14 @@ def _legendre_column(y, n):
 def eval_1d(family: str, normalization: str, n: int, y):
     """Evaluate the 1-d basis function of order n at y (scalar or array).
 
-    Raises ValueError for |y| > 1, n < 0, or an invalid (family,
+    Raises ValueError for |y| > 1 or NaN y, n < 0, or an invalid (family,
     normalization) pair.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     arr = np.asarray(y, dtype=float)
-    _domain_check(arr)
+    check_domain(arr)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if spec.family == "chebyshev":
@@ -141,7 +142,7 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     d = len(indices[0])
     if arr.shape[1] != d:
         raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
-    _domain_check(arr)
+    check_domain(arr)
     qmax = max(max(n) for n in indices)
     tables = [_table_1d(spec, arr[:, i], qmax) for i in range(d)]
     D = np.empty((arr.shape[0], len(indices)))

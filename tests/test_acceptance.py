@@ -17,16 +17,16 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
-from weilfit.cli import StudyConfig, _cell_points, _cond_A, realize_cell
 from weilfit.diagnostics import check_gram_bounds, l2_error, spectral_gap
 from weilfit.indexsets import build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, SingularSystemError, WeightScheme,
-                           compute_weights, gram, solve)
+                           compute_weights, condition, gram, solve)
 from weilfit.pointgen import (arcsine_box_measure, equidist_box_fraction,
                               is_prime, mc_sample, nearest_prime,
                               weil_exponential_sum, weil_grid)
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, basis_matrix)
+from weilfit.study import StudyConfig, cell_points, realize_cell
 from weilfit.targets import coefficients, make
 
 FP_TOL = 1e-9        # slack on analytic bound comparisons
@@ -149,8 +149,8 @@ def test_07_conditioning_growth_trends():
         out = {}
         for q in qs:
             idx, _, m, M = realize_cell(cfg, q)
-            pts = _cell_points(cfg, q, m, M, 0)
-            out[q] = _cond_A(pts, idx, CHEBYSHEV_ORTHONORMAL, UNIT_WEIGHTS)
+            pts = cell_points(cfg, q, m, M, 0)
+            out[q] = condition(pts, idx, CHEBYSHEV_ORTHONORMAL, UNIT_WEIGHTS).cond_A
         return out
 
     quad = cond_curve("quadratic", 0.5, [3, 10])
@@ -171,7 +171,7 @@ def test_08_spectral_convergence_smooth_target():
     errs = []
     for q in range(2, 11):
         idx, _, m, M = realize_cell(cfg, q)
-        g = _cell_points(cfg, q, m, M, 0)
+        g = cell_points(cfg, q, m, M, 0)
         fit = solve(g, f(g.points), idx, CHEBYSHEV_ORTHONORMAL, UNIT_WEIGHTS)
         errs.append(l2_error(fit, f).l2_error)
     ups = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
@@ -192,16 +192,16 @@ def test_09_density_ratio_weighting_vs_direct_random():
         cfg = StudyConfig(d=2, scaling="linear", c=2.0, grid="mc_uniform",
                           repetitions=reps)
         idx, _, m, M = realize_cell(cfg, q)
-        vals = [_cond_A(_cell_points(cfg, q, m, M, r), idx,
-                        LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS)
+        vals = [condition(cell_points(cfg, q, m, M, r), idx,
+                          LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS).cond_A
                 for r in range(reps)]
         return float(np.mean(vals))
 
     def weil_cond(q):
         cfg = StudyConfig(d=2, scaling="linear", c=2.0)
         idx, _, m, M = realize_cell(cfg, q)
-        return _cond_A(_cell_points(cfg, q, m, M, 0), idx,
-                       LEGENDRE_ORTHONORMAL, weighted)
+        return condition(cell_points(cfg, q, m, M, 0), idx,
+                         LEGENDRE_ORTHONORMAL, weighted).cond_A
 
     checks = {
         "direct_cond_blows_up_1000x": mc_cond_mean(15) > 1e3 * mc_cond_mean(3),
@@ -211,14 +211,14 @@ def test_09_density_ratio_weighting_vs_direct_random():
     # error comparison at q = 12, direct averaged over the repetitions
     cfgw = StudyConfig(d=2, scaling="linear", c=2.0)
     idx, _, m, M = realize_cell(cfgw, 12)
-    g = _cell_points(cfgw, 12, m, M, 0)
+    g = cell_points(cfgw, 12, m, M, 0)
     fitw = solve(g, f(g.points), idx, LEGENDRE_ORTHONORMAL, weighted)
     err_weighted = l2_error(fitw, f).l2_error
     cfgm = StudyConfig(d=2, scaling="linear", c=2.0, grid="mc_uniform",
                        repetitions=reps)
     errs = []
     for r in range(reps):
-        pts = _cell_points(cfgm, 12, m, M, r)
+        pts = cell_points(cfgm, 12, m, M, r)
         try:
             fitm = solve(pts, f(pts.points), idx, LEGENDRE_ORTHONORMAL,
                          UNIT_WEIGHTS)

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weilfit.cli import (StudyConfig, _round_half_up, load_config, main,
-                         parse_boxes, realize_cell, resolve_config)
+from weilfit.cli import main, parse_boxes
 from weilfit.pointgen import is_prime
+from weilfit.study import (StudyConfig, _round_half_up, load_config,
+                           realize_cell, resolve_config)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +32,10 @@ def test_study_config_validation():
         StudyConfig(q_min=5, q_max=2)
     with pytest.raises(ValueError):
         StudyConfig(c=0.0)
+    with pytest.raises(ValueError):
+        StudyConfig(c=math.inf)
+    with pytest.raises(ValueError):
+        StudyConfig(c=math.nan)
     with pytest.raises(ValueError):
         StudyConfig(grid="qmc")
     with pytest.raises(ValueError):
@@ -163,6 +172,20 @@ def test_fit_singular_system_exits_3(tmp_path, capsys):
     assert "rank-deficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["points", "values"])
+def test_fit_non_finite_input_exits_2_without_output(tmp_path, capsys, bad):
+    pts = tmp_path / "pts.csv"
+    vals = tmp_path / "vals.csv"
+    out = tmp_path / "o.csv"
+    pts.write_text("j,y1\n0,0.5\n1," + ("nan" if bad == "points" else "0.1") + "\n2,-0.3\n")
+    vals.write_text("1.0\n" + ("nan" if bad == "values" else "2.0") + "\n3.0\n")
+    rc = main(["fit", "--points", str(pts), "--values", str(vals),
+               "--q", "1", "--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exits_4(tmp_path, capsys):
     rc = main(["points", "--M", "31", "--d", "1",
                "--out", str(tmp_path / "nosuchdir" / "pts.csv")])
@@ -234,6 +257,28 @@ def test_conv_study_respects_config_file(tmp_path):
     assert "# d=1" in lines and "# target=cossum" in lines and "# c=8.0" in lines
     header_at = lines.index("q,N,m,M,l2_error")
     assert len(lines[header_at + 1:]) == 3
+
+
+def test_underdetermined_cells_record_inf_in_both_studies(tmp_path):
+    # linear c=0.5 gives m < N in every cell
+    argv = ["--d", "2", "--q-min", "1", "--q-max", "3", "--scaling", "linear", "--c", "0.5"]
+    for cmd, col in (("conv-study", "l2_error"), ("cond-study", "cond_A")):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd] + argv + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        rows = [r.split(",") for r in lines[lines.index(f"q,N,m,M,{col}") + 1:]]
+        assert len(rows) == 3
+        assert all(int(r[2]) < int(r[1]) and r[4] == "inf" for r in rows)
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "weilfit.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cond-study" in proc.stdout
 
 
 def test_equidist_subcommand_goldens(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from weilfit.indexsets import build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
-                           WeightScheme, compute_weights, evaluate_fit, gram,
-                           solve)
+                           WeightScheme, compute_weights, condition,
+                           evaluate_fit, gram, solve)
 from weilfit.pointgen import mc_sample, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, eval_tensor)
@@ -41,6 +41,8 @@ def test_compute_weights_values():
         np.ones(3))
     with pytest.raises(ValueError):
         compute_weights(UNIT_WEIGHTS, np.array([[1.5]]))
+    with pytest.raises(ValueError):
+        compute_weights(WeightScheme("density_ratio", "uniform"), np.array([[np.nan]]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,23 @@ def test_solve_errors():
     pts = np.array([[0.1], [0.2], [0.3], [0.4]])
     with pytest.raises(ValueError, match="4 points but 3"):
         solve(pts, [1.0, 2.0, 3.0], idx, CHEBYSHEV_CLASSICAL)
+    with pytest.raises(ValueError, match="finite"):
+        solve(pts, [1.0, np.nan, 3.0, 4.0], idx, CHEBYSHEV_CLASSICAL)
+    with pytest.raises(ValueError, match=r"\[-1,1\]"):
+        solve(np.array([[0.1], [np.nan], [0.3], [0.4]]), [1.0, 2.0, 3.0, 4.0],
+              idx, CHEBYSHEV_CLASSICAL)
+
+
+def test_condition_matches_solve_and_is_inf_when_underdetermined():
+    idx = build_index_set("TD", 4, 2)
+    g = weil_grid(211, 2)
+    scheme = WeightScheme("density_ratio", "uniform")
+    got = condition(g, idx, LEGENDRE_ORTHONORMAL, scheme)
+    want = solve(g, np.ones(g.n_points), idx, LEGENDRE_ORTHONORMAL, scheme).condition_report
+    assert math.isclose(got.cond_D, want.cond_D, rel_tol=1e-12)
+    assert math.isclose(got.cond_A, want.cond_A, rel_tol=1e-12)
+    few = condition(weil_grid(11, 2), idx, LEGENDRE_ORTHONORMAL)  # m = 6 < N = 15
+    assert few == ConditionReport(math.inf, math.inf)
 
 
 def test_solve_singular_system():

@@ -128,6 +128,8 @@ def test_weil_grid_rejects_bad_input():
         weil_grid(1, 2)
     with pytest.raises(ValueError):
         weil_grid(7, 0)
+    with pytest.raises(ValueError, match="exceeds"):
+        weil_grid(3037000507, 1)  # first prime above the int64-safe limit
 
 
 def test_sample_set_view():
@@ -230,6 +232,8 @@ def test_weil_sum_rejects_degenerate_input():
         weil_exponential_sum([1, 2], 8)   # composite modulus
     with pytest.raises(ValueError):
         weil_exponential_sum([], 7)
+    with pytest.raises(ValueError, match="exceeds"):
+        weil_exponential_sum([1], 3037000507)
 
 
 # ---------------------------------------------------------------------------
