@@ -8,8 +8,9 @@
 
 import numpy as np
 
-from weilfit import (CHEBYSHEV_ORTHONORMAL, StudyConfig, condition, mc_sample,
+from weilfit import (CHEBYSHEV_ORTHONORMAL, StudyConfig, condition,
                      realize_cell, weil_grid)
+from weilfit.study import cell_points
 
 
 def cond_A(pts, index_set):
@@ -39,15 +40,12 @@ print("larger linear constant stay flat.\n")
 # Same budget, random points: the average condition number over 10 draws.
 print("same m as quadratic c=0.5, but uniform random points (10 draws):")
 print(f"{'q':>3} {'m':>7} {'weil':>12} {'mc mean':>12} {'mc worst':>12}")
-rng_root = 1234
+cfg = StudyConfig(d=2, scaling="quadratic", c=0.5, grid="mc_uniform", seed=1234)
 for q in (2, 4, 6, 8):
-    cfg = StudyConfig(d=2, scaling="quadratic", c=0.5)
     index_set, N, m, M = realize_cell(cfg, q)
     weil_val = cond_A(weil_grid(M, 2).points, index_set)
-    draws = []
-    for rep in range(10):
-        seed = int(np.random.SeedSequence([rng_root, q, rep]).generate_state(1)[0])
-        draws.append(cond_A(mc_sample("uniform", m, 2, seed).points, index_set))
+    draws = [cond_A(cell_points(cfg, q, m, M, rep).points, index_set)
+             for rep in range(10)]
     print(f"{q:>3} {m:>7} {weil_val:>12.2f} {np.mean(draws):>12.2f} "
           f"{max(draws):>12.2f}")
 

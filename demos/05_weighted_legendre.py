@@ -16,8 +16,9 @@ emulates the uniform inner product while inheriting the grid's stability.
 import numpy as np
 
 from weilfit import (LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS, SingularSystemError,
-                     StudyConfig, WeightScheme, condition, l2_error, mc_sample,
+                     StudyConfig, WeightScheme, condition, l2_error,
                      realize_cell, solve, weil_grid)
+from weilfit.study import cell_points
 from weilfit.targets import coefficients, make
 
 WEIGHTED = WeightScheme("density_ratio", "uniform")
@@ -29,7 +30,7 @@ def cond_A(pts, index_set, scheme):
 
 
 f = make("expsum", coefficients("expsum", 2))
-cfg = StudyConfig(d=2, scaling="linear", c=2.0)
+cfg = StudyConfig(d=2, scaling="linear", c=2.0, grid="mc_uniform", seed=0)
 
 print("d=2, total-degree Legendre, linear point budget m ~ 2N")
 print(f"{'q':>3} {'N':>5} {'m':>6} {'direct mc cond':>16} {'weighted cond':>15} "
@@ -40,8 +41,7 @@ for q in (3, 6, 9, 12, 15):
 
     conds, errs = [], []
     for rep in range(REPS):
-        seed = int(np.random.SeedSequence([cfg.seed, q, rep]).generate_state(1)[0])
-        pts = mc_sample("uniform", m, 2, seed)
+        pts = cell_points(cfg, q, m, M, rep)
         conds.append(cond_A(pts.points, index_set, UNIT_WEIGHTS))
         try:
             fit = solve(pts, f(pts.points), index_set, LEGENDRE_ORTHONORMAL,

@@ -9,8 +9,9 @@ conv-study   discrete L2 error vs order q    (CSV: q,N,m,M,l2_error)
 equidist     box-counting vs the product arcsine measure
 check-bounds run the Gram-bound / spectral-gap / exponential-sum suites
 
-Exit codes: 0 success, 2 invalid arguments or malformed input, 3 numerical
-failure (singular system), 4 I/O error.
+Exit codes: 0 success, 2 invalid arguments or malformed input, or a request
+too large for memory (MemoryError), 3 numerical failure (singular system),
+4 I/O error.
 
 Every output CSV starts with `# key=value` comment lines echoing the full
 resolved configuration, enough to re-run the command.  Floats are written as
@@ -208,7 +209,9 @@ def cmd_check_bounds(args) -> int:
             while not is_prime(first):
                 first += 1
             index_set = build_index_set("TD", q, d)
-            for M in sorted({first, 97, 997}):
+            # 97 and 997 join only where they meet the hypothesis M > 2q+1
+            moduli = {first} | {p for p in (97, 997) if p > 2 * q + 1}
+            for M in sorted(moduli):
                 reports.append(diagnostics.check_gram_bounds(M, index_set, restrict_nonzero=True))
     diagnostics.write_gram_reports_csv(
         reports, args.out,
@@ -344,7 +347,7 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -96,28 +96,18 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     center = M / 2.0 ** (d + 1)
     diag_bounds = (center - radius, center + radius)
 
-    diag = np.diag(A)
-    if restrict_nonzero:
-        checked = [i for i, n in enumerate(indices) if _nonzero_count(n) == d]
-        vals = diag[checked]
-        if len(checked) == 0:
-            diag_pass = True
-            diag_min = diag_max = float("nan")
-        else:
-            diag_min, diag_max = float(vals.min()), float(vals.max())
-            diag_pass = (diag_min >= diag_bounds[0] - FP_TOL
-                         and diag_max <= diag_bounds[1] + FP_TOL)
-        n_checked = len(checked)
+    # One rule for every index: the diagonal entry lies within radius of
+    # M/2^{z+1}; the restricted mode checks only the indices with z = d.
+    z = np.count_nonzero(np.array(indices), axis=1)
+    checked = z == d if restrict_nonzero else np.ones(N, dtype=bool)
+    vals, c_z = np.diag(A)[checked], M / 2.0 ** (z[checked] + 1)
+    diag_pass = bool(np.all((c_z - radius - FP_TOL <= vals)
+                            & (vals <= c_z + radius + FP_TOL)))
+    if vals.size:
+        diag_min, diag_max = float(vals.min()), float(vals.max())
     else:
-        ok = True
-        for i, n in enumerate(indices):
-            z = _nonzero_count(n)
-            c_z = M / 2.0 ** (z + 1)
-            if not (c_z - radius - FP_TOL <= diag[i] <= c_z + radius + FP_TOL):
-                ok = False
-        diag_pass = ok
-        diag_min, diag_max = float(diag.min()), float(diag.max())
-        n_checked = N
+        diag_min = diag_max = float("nan")
+    n_checked = int(np.count_nonzero(checked))
 
     return GramBoundReport(
         M=M, d=d, q=q,

@@ -8,9 +8,12 @@ Two normalizations are supported:
                    Chebyshev: 1 for n=0, sqrt(2)*cos(n*arccos(y)) for n>=1;
                    Legendre:  sqrt(2n+1)*P_n(y).
 
-Chebyshev values are always evaluated through the cosine representation, not
-a recurrence, so the classical values are exact cosines of exact multiples of
-arccos(y).
+One table routine computes every 1-d value.  Chebyshev values come from the
+cosine representation, not a recurrence, so the classical values are exact
+cosines of exact multiples of arccos(y); Legendre values come from a single
+pass of the three-term recurrence.  basis_matrix gathers the rows of D from
+these tables block by block, multiplying the 1-d factors in coordinate order,
+so D equals eval_tensor column by column to the last bit.
 """
 
 from __future__ import annotations
@@ -60,22 +63,36 @@ def check_domain(y) -> None:
         raise ValueError(f"evaluation points must lie in [-1,1]; max |y| = {bad}")
 
 
-def _legendre_column(y, n):
-    # Three-term recurrence (k+1) P_{k+1} = (2k+1) y P_k - k P_{k-1}.
-    p_prev = np.ones_like(y)
-    if n == 0:
-        return p_prev
-    p = y.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * y * p - k * p_prev) / (k + 1), p
-    return p
+def _tables(spec, y, qmax):
+    """(qmax+1, npts) table of 1-d values: row n holds phi_n(y).
+
+    Chebyshev rows are cos(n*arccos(y)); Legendre rows come from one pass of
+    the recurrence (k+1) P_{k+1} = (2k+1) y P_k - k P_{k-1}, scaled after it.
+    """
+    n = np.arange(qmax + 1)
+    if spec.family == "chebyshev":
+        table = n[:, None] * np.arccos(y)
+        np.cos(table, out=table)
+        if spec.normalization == "orthonormal":
+            table[1:] *= np.sqrt(2.0)
+        return table
+    table = np.empty((qmax + 1, y.shape[0]))
+    table[0] = 1.0
+    if qmax >= 1:
+        table[1] = y
+    for k in range(1, qmax):
+        table[k + 1] = ((2 * k + 1) * y * table[k] - k * table[k - 1]) / (k + 1)
+    table *= np.sqrt(2.0 * n + 1.0)[:, None]
+    return table
 
 
 def eval_1d(family: str, normalization: str, n: int, y):
     """Evaluate the 1-d basis function of order n at y (scalar or array).
 
     Raises ValueError for |y| > 1 or NaN y, n < 0, or an invalid (family,
-    normalization) pair.
+    normalization) pair.  The value is row n of the table of orders 0..n, so
+    time and memory grow as n * len(y); it is the pointwise reference, meant
+    for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
     if n < 0:
@@ -83,13 +100,7 @@ def eval_1d(family: str, normalization: str, n: int, y):
     arr = np.asarray(y, dtype=float)
     check_domain(arr)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if spec.family == "chebyshev":
-        vals = np.cos(n * np.arccos(arr))
-        if spec.normalization == "orthonormal" and n >= 1:
-            vals = np.sqrt(2.0) * vals
-    else:
-        vals = np.sqrt(2.0 * n + 1.0) * _legendre_column(arr, n)
+    vals = _tables(spec, np.atleast_1d(arr), n)[n]
     return float(vals[0]) if scalar else vals
 
 
@@ -111,21 +122,8 @@ def eval_tensor(spec: BasisSpec, n, y):
     return float(acc[0]) if single else acc
 
 
-def _table_1d(spec, y, qmax):
-    """(npts, qmax+1) table of 1-d values; column n reproduces eval_1d exactly."""
-    npts = y.shape[0]
-    table = np.empty((npts, qmax + 1))
-    if spec.family == "chebyshev":
-        theta = np.arccos(y)
-        for n in range(qmax + 1):
-            col = np.cos(n * theta)
-            if spec.normalization == "orthonormal" and n >= 1:
-                col = np.sqrt(2.0) * col
-            table[:, n] = col
-    else:
-        for n in range(qmax + 1):
-            table[:, n] = np.sqrt(2.0 * n + 1.0) * _legendre_column(y, n)
-    return table
+# Rows of D per gather; small, so the gather temporaries stay far below D.
+_BLOCK = 256
 
 
 def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
@@ -135,20 +133,21 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     multi-index tuples).  Each entry equals eval_tensor(spec, n_j, y_i) to the
     last bit: the same 1-d values are multiplied in the same coordinate order.
     """
-    indices = as_indices(index_set)
+    idx = np.array(as_indices(index_set))
     arr = point_array(pts)
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
-    d = len(indices[0])
+    m, d = arr.shape[0], idx.shape[1]
     if arr.shape[1] != d:
         raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
     check_domain(arr)
-    qmax = max(max(n) for n in indices)
-    tables = [_table_1d(spec, arr[:, i], qmax) for i in range(d)]
-    D = np.empty((arr.shape[0], len(indices)))
-    for j, n in enumerate(indices):
-        col = tables[0][:, n[0]].copy()
+    qmax = int(idx.max())
+    tables = [_tables(spec, arr[:, i], qmax).T for i in range(d)]
+    D = np.empty((m, idx.shape[0]))
+    for start in range(0, m, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = D[rows]
+        np.take(tables[0][rows], idx[:, 0], axis=1, out=block)
         for i in range(1, d):
-            col *= tables[i][:, n[i]]
-        D[:, j] = col
+            block *= np.take(tables[i][rows], idx[:, i], axis=1)
     return D

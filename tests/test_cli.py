@@ -193,6 +193,20 @@ def test_io_error_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    # a modulus that passes validation but whose grid cannot be allocated;
+    # the stand-in raises instead of allocating
+    def too_large(M, d):
+        raise MemoryError("Unable to allocate 44.7 GiB for an array")
+
+    monkeypatch.setattr("weilfit.cli.weil_grid", too_large)
+    out = tmp_path / "pts.csv"
+    rc = main(["points", "--M", "3000000000", "--d", "2", "--out", str(out)])
+    assert rc == 2
+    assert "error: Unable to allocate 44.7 GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cond_study_deterministic_and_echoes_config(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["cond-study", "--d", "1", "--q-min", "1", "--q-max", "4",
@@ -320,6 +334,18 @@ def test_check_bounds_exit_codes(tmp_path, capsys):
     assert "spectral-gap d=1 M=67: 0.059701 pass" in text
     assert "spectral-gap d=2 M=4099: 0.072428 pass" in text
     assert "exponential-sum bound, 48 draws: pass" in text
+
+
+def test_check_bounds_large_order_skips_fixed_moduli_below_hypothesis(tmp_path, capsys):
+    # q = 48 needs M > 97: the fixed modulus 97 is left out, 997 stays
+    out = tmp_path / "cb.csv"
+    assert main(["check-bounds", "--dims", "1", "--orders", "48",
+                 "--out", str(out)]) == 0
+    assert "wrote 2 rows" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    header_at = lines.index("M,d,q,max_offdiag,offdiag_bound,diag_min,diag_max,pass")
+    rows = [l.split(",") for l in lines[header_at + 1:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [("101", "1", "48"), ("997", "1", "48")]
 
 
 def test_unknown_config_key_through_main_exits_2(tmp_path, capsys):

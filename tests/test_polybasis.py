@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
@@ -124,6 +126,57 @@ def test_basis_matrix_columns_match_eval_tensor():
         assert D.shape == (16, len(idx))
         for k, n in enumerate(idx):
             assert np.array_equal(D[:, k], eval_tensor(spec, n, pts))
+
+
+SPECS = (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL, LEGENDRE_ORTHONORMAL)
+
+
+def _points(seed, m, d):
+    """m points in [-1,1]^d with about a fifth of the coordinates set to
+    -1, 0 or 1."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (m, d))
+    special = rng.random((m, d)) < 0.2
+    pts[special] = rng.choice([-1.0, 0.0, 1.0], int(special.sum()))
+    return pts
+
+
+# basis_matrix fills D in blocks of 256 rows; m runs to three blocks plus
+# one so that block edges are crossed.
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(SPECS), kind=st.sampled_from(["TD", "TP"]),
+       d=st.integers(1, 4), q=st.integers(0, 8),
+       m=st.one_of(st.integers(1, 3 * 256 + 1),
+                   st.sampled_from([255, 256, 257, 512, 513, 768, 769])),
+       seed=st.integers(0, 2**32 - 1))
+def test_basis_matrix_is_bit_identical_to_eval_tensor(spec, kind, d, q, m, seed):
+    idx = build_index_set(kind, q, d)
+    pts = _points(seed, m, d)
+    D = basis_matrix(spec, idx, pts)
+    assert D.flags.c_contiguous
+    assert np.array_equal(D, np.column_stack([eval_tensor(spec, n, pts) for n in idx]))
+
+
+def _legendre_restarted(y, n):
+    # P_n alone: the recurrence (k+1) P_{k+1} = (2k+1) y P_k - k P_{k-1}
+    # run from P_0 up to order n, as a reference for the one-pass table
+    p_prev = np.ones_like(y)
+    if n == 0:
+        return p_prev
+    p = y.copy()
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1) * y * p - k * p_prev) / (k + 1), p
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 20),
+       y=st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                            st.floats(-1.0, 1.0)), min_size=1, max_size=40))
+def test_legendre_rows_match_restarted_recurrence(n, y):
+    y = np.array(y)
+    assert np.array_equal(eval_1d("legendre", "orthonormal", n, y),
+                          np.sqrt(2.0 * n + 1.0) * _legendre_restarted(y, n))
 
 
 def test_basis_matrix_first_column_constant():
