@@ -36,10 +36,6 @@ from .polybasis import CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix
 FP_TOL = 1e-9
 
 
-def _nonzero_count(n) -> int:
-    return sum(1 for c in n if c != 0)
-
-
 @dataclass(frozen=True)
 class GramBoundReport:
     """Observed Gram extremes against the analytic bounds for one (M, set)."""
@@ -72,17 +68,16 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     checked against its own generalized target M/2^{z+1} +- (d-1)sqrt(M)/2,
     z = number of nonzero components.
     """
-    indices = as_indices(index_set)
-    d = len(indices[0])
-    q = max(max(n) for n in indices)
+    idx = as_indices(index_set)
+    N, d = idx.shape
+    q = int(idx.max())
     M = int(M)
     if M <= 2 * q + 1:
         raise ValueError(
             f"modulus M={M} violates the bound hypothesis M > 2q+1 = {2 * q + 1}"
         )
     grid = weil_grid(M, d)
-    A = gram(grid, indices, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
-    N = len(indices)
+    A = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
 
     off_bound = ((d - 1) * math.sqrt(M) + 1.0) / 2.0
     if N > 1:
@@ -98,7 +93,7 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
 
     # One rule for every index: the diagonal entry lies within radius of
     # M/2^{z+1}; the restricted mode checks only the indices with z = d.
-    z = np.count_nonzero(np.array(indices), axis=1)
+    z = np.count_nonzero(idx, axis=1)
     checked = z == d if restrict_nonzero else np.ones(N, dtype=bool)
     vals, c_z = np.diag(A)[checked], M / 2.0 ** (z[checked] + 1)
     diag_pass = bool(np.all((c_z - radius - FP_TOL <= vals)
@@ -131,17 +126,18 @@ def spectral_gap(M: int, index_set) -> float:
     Every index must have all components nonzero (the normalization 2^{d+1}
     is only consistent there); otherwise ValueError.
     """
-    indices = as_indices(index_set)
-    d = len(indices[0])
-    for n in indices:
-        if _nonzero_count(n) != d:
-            raise ValueError(
-                f"index {n} has a zero component; the 2^(d+1)/M normalization "
-                f"requires all components nonzero"
-            )
+    idx = as_indices(index_set)
+    N, d = idx.shape
+    has_zero = ~idx.all(axis=1)
+    if has_zero.any():
+        n = tuple(idx[has_zero.argmax()].tolist())
+        raise ValueError(
+            f"index {n} has a zero component; the 2^(d+1)/M normalization "
+            f"requires all components nonzero"
+        )
     grid = weil_grid(M, d)
-    A = gram(grid, indices, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
-    G = (2.0 ** (d + 1) / M) * A - np.eye(len(indices))
+    A = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    G = (2.0 ** (d + 1) / M) * A - np.eye(N)
     return float(np.linalg.norm(G, 2))
 
 
@@ -169,9 +165,9 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
     at least q+1 (q = largest index component) so products of two basis
     polynomials are integrated exactly.
     """
-    indices = as_indices(index_set)
-    d = len(indices[0])
-    q = max(max(n) for n in indices)
+    idx = as_indices(index_set)
+    d = idx.shape[1]
+    q = int(idx.max())
     if level < q + 1:
         raise ValueError(
             f"quadrature level {level} too small for order {q}; need >= {q + 1}"
@@ -184,13 +180,11 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
     for g in wgrids:
         w = w * g.ravel()
     fvals = np.asarray(target(pts), dtype=float).reshape(-1)
-    B = basis_matrix(basis, indices, pts)
+    B = basis_matrix(basis, idx, pts)
     inner = B.T @ (w * fvals)
     if basis.normalization == "orthonormal":
-        norms = np.ones(len(indices))
-    else:
-        norms = np.array([2.0 ** (-_nonzero_count(n)) for n in indices])
-    return inner / norms
+        return inner
+    return inner / 2.0 ** -np.count_nonzero(idx, axis=1)
 
 
 @dataclass(frozen=True)
@@ -213,15 +207,15 @@ def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0,
              scaling: str | None = None, c: float | None = None) -> ErrorReport:
     """Root-mean-square error sqrt(sum_i (f - fit)^2 / n_test) on n_test
     uniform test points in [-1,1]^d drawn with the given seed."""
-    indices = as_indices(fit.index_set)
-    d = len(indices[0])
+    idx = as_indices(fit.index_set)
+    d = idx.shape[1]
     test = mc_sample("uniform", n_test, d, seed)
     resid = np.asarray(target(test.points), dtype=float) - evaluate_fit(fit, test)
     err = float(np.sqrt(np.mean(resid * resid)))
     grid = fit.grid
     m = point_array(grid).shape[0]
     M = getattr(grid, "M", None)
-    q = getattr(fit.index_set, "q", max(sum(n) for n in indices))
+    q = getattr(fit.index_set, "q", idx.sum(axis=1).max())
     return ErrorReport(
         d=d, q=int(q), scaling=scaling, c=c, m=m,
         M=int(M) if M is not None else None,

@@ -1,9 +1,20 @@
-"""Multi-index sets for tensor-product and total-degree polynomial spaces."""
+"""Multi-index sets for tensor-product and total-degree polynomial spaces.
+
+An index set has one numeric format: a read-only (N, d) int64 array whose row
+j is the multi-index of column j of the design matrix.  `IndexSet.array`
+builds it once; `as_indices` is the one place that turns a caller's index set
+(an IndexSet, a sequence of equal-length integer tuples, or an (N, d) integer
+array) into it and rejects malformed input.  Every other module works on that
+array.  `IndexSet.indices` keeps the tuples for printing and ordering.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 KINDS = ("TP", "TD")
 
@@ -47,6 +58,7 @@ class IndexSet:
     q       -- order parameter
     d       -- number of coordinates
     indices -- tuple of d-tuples, sorted by order_less
+    array   -- the indices as a read-only (N, d) int64 array, built once
     """
 
     kind: str
@@ -63,6 +75,10 @@ class IndexSet:
 
     def __iter__(self):
         return iter(self.indices)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        return _to_array(self.indices)
 
 
 def tp_cardinality(q: int, d: int) -> int:
@@ -116,19 +132,36 @@ def build_index_set(kind: str, q: int, d: int) -> IndexSet:
     return IndexSet(kind, q, d, indices)
 
 
-def as_indices(index_set) -> list:
-    """Normalize an IndexSet or a plain sequence of equal-length tuples of
-    nonnegative ints into a list of tuples.  Raises ValueError on empty input,
-    ragged lengths, or negative entries.
-    """
-    raw = getattr(index_set, "indices", index_set)
-    indices = [tuple(int(c) for c in n) for n in raw]
-    if not indices:
+def _to_array(raw) -> np.ndarray:
+    """Validate a sequence of multi-indices and return it as a read-only
+    (N, d) int64 array."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # numpy refuses nested sequences of unequal lengths
+        raise ValueError("ragged multi-index lengths") from None
+    if arr.size == 0:
         raise ValueError("empty index set")
-    d = len(indices[0])
-    for n in indices:
-        if len(n) != d:
-            raise ValueError(f"ragged multi-index lengths: {d} vs {len(n)}")
-        if any(c < 0 for c in n):
-            raise ValueError(f"negative entry in multi-index {n}")
-    return indices
+    if arr.ndim != 2:
+        raise ValueError(f"expected a sequence of multi-indices, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"multi-index entries must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
+    if arr.min() < 0:
+        n = tuple(arr[(arr < 0).any(axis=1)][0].tolist())
+        raise ValueError(f"negative entry in multi-index {n}")
+    arr.flags.writeable = False
+    return arr
+
+
+def as_indices(index_set) -> np.ndarray:
+    """The index set as a read-only (N, d) int64 array, row j = the j-th
+    multi-index.
+
+    An IndexSet returns its cached `array` (no copy).  A plain sequence of
+    equal-length integer tuples, or an (N, d) integer array, is validated and
+    copied.  Raises ValueError on empty input, ragged lengths, negative
+    entries, or entries of a non-integer type (1.5 and 1.0 alike).
+    """
+    if isinstance(index_set, IndexSet):
+        return index_set.array
+    return _to_array(index_set)

@@ -85,7 +85,7 @@ class FitResult:
     """Least-squares coefficients plus the provenance needed to reuse them."""
 
     coefficients: np.ndarray
-    index_set: object          # as passed: IndexSet or sequence of tuples
+    index_set: object          # as passed: IndexSet, tuples or (N, d) int array
     basis: BasisSpec
     weights: WeightScheme
     residual_norm: float       # sqrt(sum_i w_i (f_i - fit_i)^2)
@@ -136,7 +136,8 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     ----------
     pts : WeilGrid, SampleSet, or (npts, d) array
     fvals : length-npts values of the target at the points
-    index_set : IndexSet or sequence of multi-index tuples (column order)
+    index_set : IndexSet, sequence of multi-index tuples, or (N, d) int
+        array (column order)
     basis, weights : basis convention and row-weight scheme
 
     Returns
@@ -146,7 +147,7 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     matrix has relative singular values below 1e-12.
     """
     arr = point_array(pts)
-    indices = as_indices(index_set)
+    N = as_indices(index_set).shape[0]
     f = np.asarray(fvals, dtype=float).reshape(-1)
     if f.shape[0] != arr.shape[0]:
         raise ValueError(
@@ -154,12 +155,11 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         )
     if not np.all(np.isfinite(f)):
         raise ValueError("function values must be finite")
-    N = len(indices)
     if arr.shape[0] < N:
         raise ValueError(
             f"under-determined system: {arr.shape[0]} points for {N} basis functions"
         )
-    w, Dw = _scaled_design(arr, indices, basis, weights)
+    w, Dw = _scaled_design(arr, index_set, basis, weights)
     bw = f * np.sqrt(w)
     U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
     report = _condition_report(s, N)

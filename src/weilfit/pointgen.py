@@ -28,7 +28,7 @@ import numpy as np
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest modulus for which (M-1)^2 still fits in int64, i.e. isqrt(2**63 - 1).
-_INT64_SAFE_MODULUS = 3_037_000_499
+MAX_MODULUS = 3_037_000_499
 
 
 def is_prime(n: int) -> bool:
@@ -77,8 +77,8 @@ def nearest_prime(target: int) -> int:
 def _check_modulus(M: int) -> None:
     if not is_prime(M):
         raise ValueError(f"modulus M={M} is not prime")
-    if M > _INT64_SAFE_MODULUS:
-        raise ValueError(f"modulus M={M} exceeds {_INT64_SAFE_MODULUS}, the largest "
+    if M > MAX_MODULUS:
+        raise ValueError(f"modulus M={M} exceeds {MAX_MODULUS}, the largest "
                          f"with exact int64 residues")
 
 
@@ -97,12 +97,8 @@ class WeilGrid:
 
     M: int
     d: int
-    residues: np.ndarray  # (m+1, d) int64, exact j^k mod M
-    points: np.ndarray    # (m+1, d) float64
-
-    @property
-    def m(self) -> int:
-        return self.M // 2
+    residues: np.ndarray  # (floor(M/2)+1, d) int64, exact j^k mod M
+    points: np.ndarray    # (floor(M/2)+1, d) float64
 
     @property
     def n_points(self) -> int:

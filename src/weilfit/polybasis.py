@@ -107,10 +107,12 @@ def eval_1d(family: str, normalization: str, n: int, y):
 def eval_tensor(spec: BasisSpec, n, y):
     """Evaluate the tensor basis function prod_i phi_{n_i}(y^i).
 
-    y is a single point (length-d) or an (npts, d) array.  The result is the
-    coordinatewise product of eval_1d values, multiplied left to right.
+    n is one multi-index of nonnegative ints, validated like a row of
+    as_indices.  y is a single point (length-d) or an (npts, d) array.  The
+    result is the coordinatewise product of eval_1d values, multiplied left to
+    right.
     """
-    n = tuple(int(c) for c in n)
+    n = as_indices([n])[0].tolist()
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
     pts = arr[None, :] if single else point_array(arr)
@@ -129,11 +131,12 @@ _BLOCK = 256
 def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     """Design matrix D with D[i, j] = Phi_{n_j}(y_i).
 
-    Columns follow the order of `index_set` (an IndexSet or a sequence of
-    multi-index tuples).  Each entry equals eval_tensor(spec, n_j, y_i) to the
-    last bit: the same 1-d values are multiplied in the same coordinate order.
+    Columns follow the rows of `as_indices(index_set)` (an IndexSet, a
+    sequence of multi-index tuples, or an (N, d) int array).  Each entry
+    equals eval_tensor(spec, n_j, y_i) to the last bit: the same 1-d values
+    are multiplied in the same coordinate order.
     """
-    idx = np.array(as_indices(index_set))
+    idx = as_indices(index_set)
     arr = point_array(pts)
     if arr.shape[0] == 0:
         raise ValueError("empty point set")

@@ -21,7 +21,7 @@ import numpy as np
 from . import targets
 from .indexsets import KINDS, build_index_set
 from .lstsq import UNIT_WEIGHTS, WeightScheme
-from .pointgen import mc_sample, nearest_prime, weil_grid
+from .pointgen import MAX_MODULUS, mc_sample, nearest_prime, weil_grid
 from .polybasis import BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
@@ -132,13 +132,21 @@ def realize_cell(cfg: StudyConfig, q: int):
 
     m_target = round(c*N) or round(c*N^2); M = nearest_prime(2*m_target - 1);
     m = floor(M/2)+1.  The same prime rule fixes the point count for Monte
-    Carlo cells so weil and MC rows are comparable at equal m.
+    Carlo cells so weil and MC rows are comparable at equal m.  Raises
+    ValueError when M would exceed the modulus limit of the Weil grids,
+    3 037 000 499, for every grid kind.
     """
     index_set = build_index_set(cfg.space, q, cfg.d)
     N = index_set.N
     size = N * N if cfg.scaling == "quadratic" else N
-    m_target = max(1, _round_half_up(cfg.c * size))
+    # Capped before rounding so a huge c*size never reaches int(); any capped
+    # target is past the limit anyway.
+    m_target = max(1, _round_half_up(min(cfg.c * size, MAX_MODULUS)))
     M = nearest_prime(max(2, 2 * m_target - 1))
+    if M > MAX_MODULUS:
+        raise ValueError(f"cell q={q} targets {cfg.c * size:.4g} points, which needs a "
+                         f"modulus above {MAX_MODULUS}, the largest with exact int64 "
+                         f"residues")
     m = M // 2 + 1
     return index_set, N, m, M
 

@@ -94,6 +94,14 @@ def test_realize_cell_worked_example():
     cfg = StudyConfig(scaling="linear", c=2.0)
     _, N, m, M = realize_cell(cfg, 8)
     assert (N, m, M) == (45, 90, 179)
+    # N=1: the target 2c-1 = 3037000499 snaps to 3037000493, the largest
+    # prime within the modulus limit; one point more snaps past it
+    _, N, m, M = realize_cell(StudyConfig(scaling="linear", c=1518500250.0, d=1), 0)
+    assert (N, m, M) == (1, 1518500247, 3037000493)
+    for grid in ("weil", "mc_uniform"):
+        for c in (1518500251.0, 1e308):
+            with pytest.raises(ValueError, match="3037000499"):
+                realize_cell(StudyConfig(scaling="linear", c=c, d=1, grid=grid), 0)
 
 
 def test_parse_boxes():
@@ -205,6 +213,20 @@ def test_memory_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "error: Unable to allocate 44.7 GiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["weil", "mc_uniform"])
+def test_study_past_modulus_limit_exits_2_without_output(tmp_path, capsys, grid):
+    # c*N^2 overflows to inf: no cell can be built, so nothing is allocated
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text("c=1e308\n")
+    out = tmp_path / "study.csv"
+    for argv in (["cond-study", "--c", "1e308"], ["conv-study", "--config", str(cfgfile)]):
+        rc = main(argv + ["--d", "2", "--q-max", "2", "--grid", grid, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "3037000499" in err
+        assert not out.exists()
 
 
 def test_cond_study_deterministic_and_echoes_config(tmp_path):

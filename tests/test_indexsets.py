@@ -1,11 +1,21 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weilfit.indexsets import (IndexSet, as_indices, build_index_set,
+from weilfit.diagnostics import reference_projection
+from weilfit.indexsets import (KINDS, IndexSet, as_indices, build_index_set,
                                order_less, td_cardinality, total_order,
                                tp_cardinality)
+from weilfit.lstsq import solve
+from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
+                               LEGENDRE_ORTHONORMAL, basis_matrix,
+                               eval_tensor)
+
+SPECS = (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL, LEGENDRE_ORTHONORMAL)
 
 
 def brute_force_set(kind, q, d):
@@ -101,15 +111,74 @@ def test_overflow_rejection():
 
 
 def test_as_indices_accepts_plain_sequences():
-    assert as_indices([(1, 2), (0, 1)]) == [(1, 2), (0, 1)]
+    got = as_indices([(1, 2), (0, 1)])
+    assert got.tolist() == [[1, 2], [0, 1]]
+    assert got.dtype == np.int64 and got.shape == (2, 2)
     s = build_index_set("TD", 1, 2)
-    assert as_indices(s) == list(s.indices)
+    got = as_indices(s)
+    assert got.tolist() == [list(n) for n in s.indices]
+    assert got.dtype == np.int64 and got.shape == (s.N, 2)
     with pytest.raises(ValueError):
         as_indices([])
     with pytest.raises(ValueError):
         as_indices([(1, 2), (1,)])
     with pytest.raises(ValueError):
         as_indices([(1, -2)])
+    with pytest.raises(ValueError):
+        as_indices([(1.5, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), q=st.integers(0, 4), d=st.integers(1, 3),
+       spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32 - 1))
+def test_index_set_forms_give_identical_results(kind, q, d, spec, seed):
+    # An IndexSet, its tuples and its int array are one index set to every layer.
+    s = build_index_set(kind, q, d)
+    arr = as_indices(s)
+    assert np.array_equal(arr, np.array(s.indices)) and arr.dtype == np.int64
+    assert not arr.flags.writeable and as_indices(s) is arr
+
+    def target(y):
+        return np.cos(y @ np.arange(1.0, d + 1))
+
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4 * s.N + 8, d))
+    f = target(pts)
+    want = (basis_matrix(spec, s, pts), solve(pts, f, s, spec).coefficients,
+            reference_projection(target, s, spec, q + 1))
+    for form in (list(s.indices), np.array(s.indices)):
+        got = (basis_matrix(spec, form, pts), solve(pts, f, form, spec).coefficients,
+               reference_projection(target, form, spec, q + 1))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 4), d=st.integers(1, 3), data=st.data())
+def test_malformed_index_sets_raise(q, d, data):
+    rows = [list(n) for n in build_index_set("TP", q, d).indices]
+    j = data.draw(st.integers(0, len(rows) - 1))
+    i = data.draw(st.integers(0, d - 1))
+    flaw = data.draw(st.sampled_from(["empty", "ragged", "negative", "fraction"]))
+    if flaw == "empty":
+        rows = []
+    elif flaw == "ragged":
+        rows[j] = rows[j] + [0]
+    elif flaw == "negative":
+        rows[j][i] = -data.draw(st.integers(1, 2**62))
+    else:
+        rows[j][i] += 0.5
+    forms = [[tuple(n) for n in rows]]
+    if flaw != "ragged":
+        forms.append(np.array(rows))
+    pts = np.zeros((3, d))
+    for form in forms:
+        with pytest.raises(ValueError):
+            as_indices(form)
+        with pytest.raises(ValueError):
+            basis_matrix(CHEBYSHEV_CLASSICAL, form, pts)
+    if rows:
+        with pytest.raises(ValueError):
+            eval_tensor(CHEBYSHEV_CLASSICAL, rows[j], pts)
 
 
 def test_index_set_container_protocol():

@@ -108,7 +108,6 @@ def test_weil_grid_row_count_and_range():
     for M in (2, 3, 5, 101, 997):
         g = weil_grid(M, 2)
         assert g.n_points == M // 2 + 1
-        assert g.m == M // 2
         assert np.all(np.abs(g.points) <= 1.0)
 
 
