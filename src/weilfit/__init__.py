@@ -17,7 +17,7 @@ from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
                        weil_grid, write_csv, write_points_csv)
 from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                         LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
-                        eval_1d, eval_tensor)
+                        eval_1d, eval_tensor, evaluate_expansion)
 from .lstsq import (ConditionReport, FitResult, SingularSystemError,
                     UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
                     evaluate_fit, gram, solve)
@@ -37,6 +37,7 @@ __all__ = [
     "weil_exponential_sum", "weil_grid", "write_csv", "write_points_csv",
     "BasisSpec", "CHEBYSHEV_CLASSICAL", "CHEBYSHEV_ORTHONORMAL",
     "LEGENDRE_ORTHONORMAL", "basis_matrix", "eval_1d", "eval_tensor",
+    "evaluate_expansion",
     "ConditionReport", "FitResult", "SingularSystemError", "UNIT_WEIGHTS",
     "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
     "solve",

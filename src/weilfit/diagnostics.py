@@ -206,7 +206,12 @@ class ErrorReport:
 def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0,
              scaling: str | None = None, c: float | None = None) -> ErrorReport:
     """Root-mean-square error sqrt(sum_i (f - fit)^2 / n_test) on n_test
-    uniform test points in [-1,1]^d drawn with the given seed."""
+    uniform test points in [-1,1]^d drawn with the given seed.
+
+    The fit is evaluated by evaluate_fit, which streams the test points in
+    row blocks: memory is O(256*N + d*(q+1)*n_test) floats, with q the
+    largest index component, not the n_test*N of the test design matrix.
+    """
     idx = as_indices(fit.index_set)
     d = idx.shape[1]
     test = mc_sample("uniform", n_test, d, seed)

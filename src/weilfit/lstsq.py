@@ -17,7 +17,7 @@ import numpy as np
 
 from .indexsets import as_indices
 from .pointgen import point_array
-from .polybasis import BasisSpec, basis_matrix, check_domain
+from .polybasis import BasisSpec, basis_matrix, check_domain, evaluate_expansion
 
 WEIGHT_KINDS = ("unit", "density_ratio")
 TARGET_DENSITIES = ("uniform", "chebyshev")
@@ -174,9 +174,13 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
 
 def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
-    """Evaluate the fitted polynomial at new points."""
-    D = basis_matrix(fit.basis, fit.index_set, pts)
-    return D @ fit.coefficients
+    """Evaluate the fitted polynomial at new points.
+
+    Streams the points through `evaluate_expansion` in row blocks, so the
+    test design matrix is never held whole; at one BLAS thread the values
+    equal basis_matrix(...) @ fit.coefficients bit for bit.
+    """
+    return evaluate_expansion(fit.basis, fit.index_set, pts, fit.coefficients)
 
 
 def gram(pts, index_set, basis: BasisSpec,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,15 @@ def _check_modulus(M: int) -> None:
                          f"with exact int64 residues")
 
 
+def _physical_memory():
+    """Bytes of physical memory of the machine, or None where the operating
+    system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A batch of points in [-1,1]^d with provenance metadata."""
@@ -119,12 +129,20 @@ def weil_grid(M: int, d: int) -> WeilGrid:
     Returns
     -------
     WeilGrid with floor(M/2)+1 rows.  Row j=0 is exactly (1, ..., 1).
+
+    A grid whose residue and point arrays, 16*d*(floor(M/2)+1) bytes, exceed
+    the machine's physical memory is refused with ValueError before anything
+    is allocated.
     """
     M, d = int(M), int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_modulus(M)
     m = M // 2
+    size, memory = 16 * d * (m + 1), _physical_memory()
+    if memory is not None and size > memory:
+        raise ValueError(f"the grid for M={M}, d={d} needs {size / 2**30:.1f} GiB, "
+                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
     js = np.arange(m + 1, dtype=np.int64)
     residues = np.empty((m + 1, d), dtype=np.int64)
     r = js % M

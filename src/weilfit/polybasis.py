@@ -13,7 +13,9 @@ cosine representation, not a recurrence, so the classical values are exact
 cosines of exact multiples of arccos(y); Legendre values come from a single
 pass of the three-term recurrence.  basis_matrix gathers the rows of D from
 these tables block by block, multiplying the 1-d factors in coordinate order,
-so D equals eval_tensor column by column to the last bit.
+so D equals eval_tensor column by column to the last bit.  evaluate_expansion
+runs the same block loop but multiplies each block by the coefficients at
+once, so D @ c comes out without D ever being held whole.
 """
 
 from __future__ import annotations
@@ -89,12 +91,15 @@ def _tables(spec, y, qmax):
 def eval_1d(family: str, normalization: str, n: int, y):
     """Evaluate the 1-d basis function of order n at y (scalar or array).
 
-    Raises ValueError for |y| > 1 or NaN y, n < 0, or an invalid (family,
-    normalization) pair.  The value is row n of the table of orders 0..n, so
+    Raises ValueError for |y| > 1 or NaN y, an order n that is not a
+    nonnegative int (bools included), or an invalid (family, normalization)
+    pair.  The value is row n of the table of orders 0..n, so
     time and memory grow as n * len(y); it is the pointwise reference, meant
     for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"order n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     arr = np.asarray(y, dtype=float)
@@ -125,7 +130,47 @@ def eval_tensor(spec: BasisSpec, n, y):
 
 
 # Rows of D per gather; small, so the gather temporaries stay far below D.
+# A multiple of 4, so every block starts at one (see _row_blocks).
 _BLOCK = 256
+
+
+def _prepare(spec, index_set, pts):
+    """Validated (N, d) index array and the transposed 1-d tables: tables[i]
+    is (m, qmax+1) with tables[i][r, n] = phi_n(y_r^i)."""
+    idx = as_indices(index_set)
+    arr = point_array(pts)
+    if arr.shape[0] == 0:
+        raise ValueError("empty point set")
+    d = idx.shape[1]
+    if arr.shape[1] != d:
+        raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
+    check_domain(arr)
+    qmax = int(idx.max())
+    return idx, [_tables(spec, arr[:, i], qmax).T for i in range(d)]
+
+
+def _row_blocks(m):
+    """Row slices of at most _BLOCK + 1 rows covering range(m).
+
+    At one thread, OpenBLAS gives the matrix-vector product of a block of D
+    the same bits as the rows of the full D @ c when the block starts at a
+    multiple of 4 and has at least 2 rows.  So every slice starts at a
+    multiple of _BLOCK, and a lone last row is merged into the slice before
+    it: numpy multiplies a 1-row matrix on another path, which changes the
+    last bits.
+    """
+    starts = list(range(0, m, _BLOCK))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
+
+
+def _gather(idx, tables, rows, out):
+    """Fill out[r, j] = prod_i tables[i][rows][r, idx[j, i]], multiplying the
+    1-d factors in coordinate order."""
+    np.take(tables[0][rows], idx[:, 0], axis=1, out=out)
+    for i in range(1, idx.shape[1]):
+        out *= np.take(tables[i][rows], idx[:, i], axis=1)
 
 
 def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
@@ -136,21 +181,30 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     equals eval_tensor(spec, n_j, y_i) to the last bit: the same 1-d values
     are multiplied in the same coordinate order.
     """
-    idx = as_indices(index_set)
-    arr = point_array(pts)
-    if arr.shape[0] == 0:
-        raise ValueError("empty point set")
-    m, d = arr.shape[0], idx.shape[1]
-    if arr.shape[1] != d:
-        raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
-    check_domain(arr)
-    qmax = int(idx.max())
-    tables = [_tables(spec, arr[:, i], qmax).T for i in range(d)]
-    D = np.empty((m, idx.shape[0]))
-    for start in range(0, m, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block = D[rows]
-        np.take(tables[0][rows], idx[:, 0], axis=1, out=block)
-        for i in range(1, d):
-            block *= np.take(tables[i][rows], idx[:, i], axis=1)
+    idx, tables = _prepare(spec, index_set, pts)
+    D = np.empty((tables[0].shape[0], idx.shape[0]))
+    for rows in _row_blocks(D.shape[0]):
+        _gather(idx, tables, rows, D[rows])
     return D
+
+
+def evaluate_expansion(spec: BasisSpec, index_set, pts, coeffs) -> np.ndarray:
+    """Values sum_j coeffs[j] Phi_{n_j}(y_i) at every point, as an (m,) array.
+
+    Equal to basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one
+    BLAS thread (see _row_blocks), but D is never formed: each block of rows is gathered into one reusable buffer of
+    _BLOCK + 1 rows and multiplied by coeffs straight into the output.  Memory
+    is O(_BLOCK * N + d * (qmax+1) * m) instead of the m * N of D.  coeffs
+    must hold one value per index.
+    """
+    idx, tables = _prepare(spec, index_set, pts)
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (idx.shape[0],):
+        raise ValueError(f"coeffs has shape {c.shape}; expected ({idx.shape[0]},)")
+    out = np.empty(tables[0].shape[0])
+    buf = np.empty((_BLOCK + 1, idx.shape[0]))
+    for rows in _row_blocks(out.shape[0]):
+        block = buf[:rows.stop - rows.start]
+        _gather(idx, tables, rows, block)
+        np.matmul(block, c, out=out[rows])
+    return out

@@ -215,6 +215,17 @@ def test_memory_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_grid_larger_than_physical_memory_exits_2_without_output(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    out = tmp_path / "pts.csv"
+    rc = main(["points", "--M", "101", "--d", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "physical memory" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["weil", "mc_uniform"])
 def test_study_past_modulus_limit_exits_2_without_output(tmp_path, capsys, grid):
     # c*N^2 overflows to inf: no cell can be built, so nothing is allocated

@@ -131,6 +131,17 @@ def test_weil_grid_rejects_bad_input():
         weil_grid(3037000507, 1)  # first prime above the int64-safe limit
 
 
+def test_weil_grid_refuses_a_grid_larger_than_physical_memory(monkeypatch):
+    # 16*d*(M//2+1) bytes: 512 for (31, 2), 1632 for (101, 2); the stand-in
+    # memory size keeps the refused grid tiny
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    assert weil_grid(31, 2).n_points == 16
+    with pytest.raises(ValueError, match="physical memory"):
+        weil_grid(101, 2)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: None)
+    assert weil_grid(101, 2).n_points == 51  # size unknown: no guard
+
+
 def test_sample_set_view():
     g = weil_grid(11, 2)
     s = g.sample_set()

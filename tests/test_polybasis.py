@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from weilfit.indexsets import build_index_set
+from weilfit.lstsq import UNIT_WEIGHTS, ConditionReport, FitResult, evaluate_fit
 from weilfit.pointgen import weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
-                               eval_1d, eval_tensor)
+                               eval_1d, eval_tensor, evaluate_expansion)
 
 
 def test_basis_spec_validation():
@@ -84,6 +91,17 @@ def test_eval_1d_domain_check():
         eval_1d("chebyshev", "classical", -1, np.array([0.0]))
 
 
+@pytest.mark.parametrize("n", [1.9, 2.0, True, np.bool_(True), "2", None])
+def test_eval_1d_rejects_an_order_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="order n must be an int"):
+        eval_1d("chebyshev", "classical", n, 0.3)
+
+
+def test_eval_1d_accepts_numpy_int_orders():
+    assert eval_1d("legendre", "orthonormal", np.int64(2), 0.3) == \
+        eval_1d("legendre", "orthonormal", 2, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 
@@ -155,6 +173,71 @@ def test_basis_matrix_is_bit_identical_to_eval_tensor(spec, kind, d, q, m, seed)
     D = basis_matrix(spec, idx, pts)
     assert D.flags.c_contiguous
     assert np.array_equal(D, np.column_stack([eval_tensor(spec, n, pts) for n in idx]))
+
+
+# m at block edges: evaluate_expansion merges a lone last row (m = 257, 513,
+# 769) into the block before it.  Products stay at or below 2**18 entries:
+# OpenBLAS runs such a matrix-vector product on one thread whatever its thread
+# count, while a larger one may be split across threads and get other bits.
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(SPECS), kind=st.sampled_from(["TD", "TP"]),
+       d=st.integers(1, 4), q=st.integers(0, 6),
+       m=st.sampled_from([1, 2, 3, 255, 256, 257, 511, 512, 513, 769]),
+       seed=st.integers(0, 2**32 - 1))
+def test_streamed_evaluation_is_bit_identical_to_full_product(spec, kind, d, q, m, seed):
+    idx = build_index_set(kind, q, d)
+    assume(m * len(idx) <= 2**18)
+    pts = _points(seed, m, d)
+    c = np.random.default_rng(seed).standard_normal(len(idx))
+    want = basis_matrix(spec, idx, pts) @ c
+    assert np.array_equal(evaluate_expansion(spec, idx, pts, c), want)
+    fit = FitResult(c, idx, spec, UNIT_WEIGHTS, 0.0, ConditionReport(1.0, 1.0), None)
+    assert np.array_equal(evaluate_fit(fit, pts), want)
+
+
+def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
+    # a product big enough to be split across threads when more are allowed;
+    # at one BLAS thread the study CSVs are reproducible and so must the bits be
+    script = (
+        "import numpy as np\n"
+        "from weilfit import LEGENDRE_ORTHONORMAL as S, basis_matrix, build_index_set\n"
+        "from weilfit.polybasis import evaluate_expansion\n"
+        "idx = build_index_set('TD', 12, 3)\n"
+        "pts = np.random.default_rng(5).uniform(-1, 1, (8 * 256 + 1, 3))\n"
+        "c = np.random.default_rng(6).standard_normal(len(idx))\n"
+        "assert np.array_equal(evaluate_expansion(S, idx, pts, c),\n"
+        "                      basis_matrix(S, idx, pts) @ c)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_streamed_evaluation_never_holds_the_design_matrix():
+    # the conv-eval test side: 50000 points, TD q=12 in d=3 (N = 455)
+    idx = build_index_set("TD", 12, 3)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50000, 3))
+    c = np.ones(len(idx))
+    tracemalloc.start()
+    try:
+        evaluate_expansion(LEGENDRE_ORTHONORMAL, idx, pts, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(idx) == 455
+    assert peak < 50000 * 455 * 8 / 4
+
+
+def test_evaluate_expansion_checks_coefficient_shape():
+    idx = build_index_set("TD", 2, 2)
+    pts = np.zeros((3, 2))
+    for c in (np.ones(len(idx) + 1), np.ones((len(idx), 1))):
+        with pytest.raises(ValueError, match="coeffs has shape"):
+            evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, pts, c)
 
 
 def _legendre_restarted(y, n):
