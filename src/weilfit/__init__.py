@@ -14,7 +14,7 @@ from .indexsets import (IndexSet, as_indices, build_index_set, order_less,
 from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
                        equidist_box_fraction, is_prime, mc_sample,
                        nearest_prime, point_array, weil_exponential_sum,
-                       weil_grid, write_csv, write_points_csv)
+                       weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                         LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
                         eval_1d, eval_tensor, evaluate_expansion)
@@ -22,8 +22,7 @@ from .lstsq import (ConditionReport, FitResult, SingularSystemError,
                     UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
                     evaluate_fit, gram, solve)
 from .diagnostics import (ErrorReport, GramBoundReport, check_gram_bounds,
-                          l2_error, reference_projection, spectral_gap,
-                          write_error_reports_csv, write_gram_reports_csv)
+                          l2_error, reference_projection, spectral_gap)
 from . import targets
 from .study import StudyConfig, realize_cell
 
@@ -34,7 +33,7 @@ __all__ = [
     "td_cardinality", "total_order", "tp_cardinality",
     "SampleSet", "WeilGrid", "arcsine_box_measure", "equidist_box_fraction",
     "is_prime", "mc_sample", "nearest_prime", "point_array",
-    "weil_exponential_sum", "weil_grid", "write_csv", "write_points_csv",
+    "weil_exponential_sum", "weil_grid",
     "BasisSpec", "CHEBYSHEV_CLASSICAL", "CHEBYSHEV_ORTHONORMAL",
     "LEGENDRE_ORTHONORMAL", "basis_matrix", "eval_1d", "eval_tensor",
     "evaluate_expansion",
@@ -42,8 +41,7 @@ __all__ = [
     "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
     "solve",
     "ErrorReport", "GramBoundReport", "check_gram_bounds", "l2_error",
-    "reference_projection", "spectral_gap", "write_error_reports_csv",
-    "write_gram_reports_csv",
+    "reference_projection", "spectral_gap",
     "StudyConfig", "realize_cell",
     "targets",
     "__version__",

@@ -21,6 +21,7 @@ shortest round-trip decimals.  The study protocol lives in `weilfit.study`.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 
@@ -31,9 +32,18 @@ from .indexsets import KINDS, build_index_set
 from .lstsq import (SingularSystemError, TARGET_DENSITIES, WEIGHT_KINDS,
                     condition, solve)
 from .pointgen import (arcsine_box_measure, equidist_box_fraction, is_prime,
-                       nearest_prime, weil_exponential_sum, weil_grid,
-                       write_csv, write_points_csv)
+                       nearest_prime, weil_exponential_sum, weil_grid)
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
+
+
+def _write_csv(path, comments, header, rows) -> None:
+    """Write one `# line` per comment, then the header row, then the rows."""
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _study_row(q, N, m, M, val):
@@ -48,8 +58,8 @@ def _write_study(args, cfg, colname, value, comments=()):
     lines = cfg.echo_lines() + list(comments)
     if cfg.repetitions > 1:
         lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
-    write_csv(args.out, lines, ["q", "N", "m", "M", colname],
-              [_study_row(*row) for row in rows])
+    _write_csv(args.out, lines, ["q", "N", "m", "M", colname],
+               [_study_row(*row) for row in rows])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -57,8 +67,9 @@ def _write_study(args, cfg, colname, value, comments=()):
 def cmd_points(args) -> int:
     M = nearest_prime(args.M)
     grid = weil_grid(M, args.d)
-    write_points_csv(grid, args.out,
-                     header_comments=[f"M={M}", f"M_target={args.M}", f"d={args.d}"])
+    _write_csv(args.out, [f"M={M}", f"M_target={args.M}", f"d={args.d}"],
+               ["j"] + [f"y{i + 1}" for i in range(args.d)],
+               ([j] + [repr(float(v)) for v in row] for j, row in enumerate(grid.points)))
     print(f"M={M}")
     print(f"wrote {grid.n_points} points to {args.out}")
     return 0
@@ -118,16 +129,16 @@ def cmd_fit(args) -> int:
     scheme = study.weight_scheme(args.weights, args.target_density)
     fit = solve(pts, fvals, index_set, spec, scheme)
     rep = fit.condition_report
-    write_csv(args.out,
-              [f"space={args.space}", f"q={args.q}", f"d={pts.shape[1]}",
-               f"family={args.family}", f"normalization={args.normalization}",
-               f"weights={args.weights}", f"target_density={args.target_density}",
-               f"n_points={pts.shape[0]}", f"N={index_set.N}",
-               f"cond_D={repr(rep.cond_D)}", f"cond_A={repr(rep.cond_A)}",
-               f"residual_norm={repr(fit.residual_norm)}"],
-              ["index", "coefficient"],
-              [["(" + ",".join(str(c) for c in n) + ")", repr(float(coef))]
-               for n, coef in zip(index_set.indices, fit.coefficients)])
+    _write_csv(args.out,
+               [f"space={args.space}", f"q={args.q}", f"d={pts.shape[1]}",
+                f"family={args.family}", f"normalization={args.normalization}",
+                f"weights={args.weights}", f"target_density={args.target_density}",
+                f"n_points={pts.shape[0]}", f"N={index_set.N}",
+                f"cond_D={repr(rep.cond_D)}", f"cond_A={repr(rep.cond_A)}",
+                f"residual_norm={repr(fit.residual_norm)}"],
+               ["index", "coefficient"],
+               [["(" + ",".join(str(c) for c in n) + ")", repr(float(coef))]
+                for n, coef in zip(index_set.indices, fit.coefficients)])
     print(f"N={index_set.N} cond_D={rep.cond_D:.6e} cond_A={rep.cond_A:.6e} "
           f"residual={fit.residual_norm:.6e}")
     return 0
@@ -154,8 +165,7 @@ def cmd_conv_study(args) -> int:
             fit = solve(pts, f(pts), index_set, spec, scheme)
         except SingularSystemError:
             return float("inf")
-        return diagnostics.l2_error(fit, f, cfg.n_test, seed=cfg.seed,
-                                    scaling=cfg.scaling, c=cfg.c).l2_error
+        return diagnostics.l2_error(fit, f, cfg.n_test, seed=cfg.seed).l2_error
 
     return _write_study(args, cfg, "l2_error", l2_error,
                         ["target_coeffs=" + ",".join(repr(float(v)) for v in coeffs)])
@@ -192,14 +202,16 @@ def cmd_equidist(args) -> int:
         frac = equidist_box_fraction(grid, box)
         meas = arcsine_box_measure(box)
         rows.append([token, repr(frac), repr(meas), repr(abs(frac - meas))])
-    write_csv(args.out, [f"M={M}", f"M_target={args.M}", f"d={args.d}", f"boxes={args.boxes}"],
-              ["box", "observed_fraction", "arcsine_measure", "abs_deviation"], rows)
+    _write_csv(args.out, [f"M={M}", f"M_target={args.M}", f"d={args.d}", f"boxes={args.boxes}"],
+               ["box", "observed_fraction", "arcsine_measure", "abs_deviation"], rows)
     print(f"M={M}")
     print(f"wrote {len(boxes)} rows to {args.out}")
     return 0
 
 
 def cmd_check_bounds(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     ds = [int(t) for t in args.dims.split(",")]
     qs = [int(t) for t in args.orders.split(",")]
     reports = []
@@ -213,10 +225,13 @@ def cmd_check_bounds(args) -> int:
             moduli = {first} | {p for p in (97, 997) if p > 2 * q + 1}
             for M in sorted(moduli):
                 reports.append(diagnostics.check_gram_bounds(M, index_set, restrict_nonzero=True))
-    diagnostics.write_gram_reports_csv(
-        reports, args.out,
-        header_comments=[f"dims={args.dims}", f"orders={args.orders}", "basis=chebyshev/classical", "weights=unit"],
-    )
+    _write_csv(args.out,
+               [f"dims={args.dims}", f"orders={args.orders}", "basis=chebyshev/classical",
+                "weights=unit"],
+               ["M", "d", "q", "max_offdiag", "offdiag_bound", "diag_min", "diag_max", "pass"],
+               [[r.M, r.d, r.q, repr(r.max_offdiag_abs), repr(r.offdiag_bound),
+                 repr(r.diag_min), repr(r.diag_max), "true" if r.passed else "false"]
+                for r in reports])
     n_fail = sum(1 for r in reports if not r.passed)
     for r in reports:
         if r.passed:
@@ -236,7 +251,7 @@ def cmd_check_bounds(args) -> int:
     print(f"spectral-gap d=1 M=67: {gap1:.6f} {'pass' if ok1 else 'FAIL'}")
     print(f"spectral-gap d=2 M=4099: {gap2:.6f} {'pass' if ok2 else 'FAIL'}")
 
-    rng = np.random.Generator(np.random.PCG64(args.seed if args.seed is not None else 0))
+    rng = np.random.Generator(np.random.PCG64(args.seed))
     n_sum_fail = 0
     for _ in range(48):
         M = int(rng.choice([101, 499, 997, 2309, 10007]))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .indexsets import as_indices
 from .lstsq import UNIT_WEIGHTS, FitResult, evaluate_fit, gram
-from .pointgen import is_prime, mc_sample, point_array, weil_grid, write_csv
+from .pointgen import mc_sample, weil_grid
 from .polybasis import CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix
 
 # Floating-point slack on the analytic bounds.
@@ -53,7 +53,6 @@ class GramBoundReport:
     passed: bool
     restricted_to_nonzero_indices: bool
     n_diag_checked: int
-    normalized_offdiag_radius: float  # 2^d ((d-1) sqrt(M) + 1) / M
 
 
 def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramBoundReport:
@@ -115,7 +114,6 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
         passed=offdiag_pass and diag_pass,
         restricted_to_nonzero_indices=restrict_nonzero,
         n_diag_checked=n_checked,
-        normalized_offdiag_radius=2.0 ** d * ((d - 1) * math.sqrt(M) + 1.0) / M,
     )
 
 
@@ -191,20 +189,11 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
 class ErrorReport:
     """Discrete L2 error of a fit on a seeded uniform test sample."""
 
-    d: int
-    q: int
-    scaling: str | None
-    c: float | None
-    m: int              # number of collocation points used by the fit
-    M: int | None       # grid modulus when the fit used a deterministic grid
     l2_error: float
     n_test: int
-    test_measure: str
-    seed: int
 
 
-def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0,
-             scaling: str | None = None, c: float | None = None) -> ErrorReport:
+def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0) -> ErrorReport:
     """Root-mean-square error sqrt(sum_i (f - fit)^2 / n_test) on n_test
     uniform test points in [-1,1]^d drawn with the given seed.
 
@@ -212,38 +201,7 @@ def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0,
     row blocks: memory is O(256*N + d*(q+1)*n_test) floats, with q the
     largest index component, not the n_test*N of the test design matrix.
     """
-    idx = as_indices(fit.index_set)
-    d = idx.shape[1]
+    d = as_indices(fit.index_set).shape[1]
     test = mc_sample("uniform", n_test, d, seed)
     resid = np.asarray(target(test.points), dtype=float) - evaluate_fit(fit, test)
-    err = float(np.sqrt(np.mean(resid * resid)))
-    grid = fit.grid
-    m = point_array(grid).shape[0]
-    M = getattr(grid, "M", None)
-    q = getattr(fit.index_set, "q", idx.sum(axis=1).max())
-    return ErrorReport(
-        d=d, q=int(q), scaling=scaling, c=c, m=m,
-        M=int(M) if M is not None else None,
-        l2_error=err, n_test=n_test, test_measure="uniform", seed=seed,
-    )
-
-
-def write_gram_reports_csv(reports, path, header_comments=()) -> None:
-    """Schema: M,d,q,max_offdiag,offdiag_bound,diag_min,diag_max,pass"""
-    write_csv(path, header_comments,
-              ["M", "d", "q", "max_offdiag", "offdiag_bound", "diag_min", "diag_max", "pass"],
-              ([r.M, r.d, r.q,
-                repr(r.max_offdiag_abs), repr(r.offdiag_bound),
-                repr(r.diag_min), repr(r.diag_max),
-                "true" if r.passed else "false"] for r in reports))
-
-
-def write_error_reports_csv(reports, path, header_comments=()) -> None:
-    """Schema: d,q,rule,c,m,M,l2_error"""
-    write_csv(path, header_comments, ["d", "q", "rule", "c", "m", "M", "l2_error"],
-              ([r.d, r.q,
-                "" if r.scaling is None else r.scaling,
-                "" if r.c is None else repr(float(r.c)),
-                r.m,
-                "" if r.M is None else r.M,
-                repr(r.l2_error)] for r in reports))
+    return ErrorReport(float(np.sqrt(np.mean(resid * resid))), n_test)

@@ -82,15 +82,14 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares coefficients plus the provenance needed to reuse them."""
+    """Least-squares coefficients, the basis that evaluates them, and the
+    health of the solve."""
 
     coefficients: np.ndarray
     index_set: object          # as passed: IndexSet, tuples or (N, d) int array
     basis: BasisSpec
-    weights: WeightScheme
     residual_norm: float       # sqrt(sum_i w_i (f_i - fit_i)^2)
     condition_report: ConditionReport
-    grid: object               # as passed: WeilGrid, SampleSet, or array
 
 
 def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
@@ -120,8 +119,12 @@ def _condition_report(s, N) -> ConditionReport:
 
 def condition(pts, index_set, basis: BasisSpec,
               weights: WeightScheme = UNIT_WEIGHTS) -> ConditionReport:
-    """cond_D and cond_A of the scaled design matrix, as `solve` reports
-    them, from its singular values alone (U and V are never formed)."""
+    """cond_D and cond_A of the scaled design matrix from its singular
+    values alone (U and V are never formed).
+
+    LAPACK reaches these singular values by another route than the full SVD
+    in `solve`, so the two reports agree to a few ulps (about 1e-15
+    relative), not bit for bit."""
     _, Dw = _scaled_design(pts, index_set, basis, weights)
     return _condition_report(np.linalg.svd(Dw, compute_uv=False), Dw.shape[1])
 
@@ -170,7 +173,7 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         )
     coeffs = Vt.T @ ((U.T @ bw) / s)
     residual = float(np.linalg.norm(bw - Dw @ coeffs))
-    return FitResult(coeffs, index_set, basis, weights, residual, report, pts)
+    return FitResult(coeffs, index_set, basis, residual, report)
 
 
 def evaluate_fit(fit: FitResult, pts) -> np.ndarray:

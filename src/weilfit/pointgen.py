@@ -17,7 +17,6 @@ makes these grids usable for least squares.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -94,11 +93,9 @@ def _physical_memory():
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A batch of points in [-1,1]^d with provenance metadata."""
+    """A batch of Monte Carlo points in [-1,1]^d."""
 
     points: np.ndarray
-    provenance: str  # "weil" | "mc_chebyshev" | "mc_uniform"
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,6 @@ class WeilGrid:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def sample_set(self) -> SampleSet:
-        return SampleSet(self.points, "weil", None)
 
 
 def weil_grid(M: int, d: int) -> WeilGrid:
@@ -170,13 +164,11 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
     rng = np.random.Generator(np.random.PCG64(seed))
     if measure == "chebyshev":
         pts = np.cos(np.pi * rng.random((n, d)))
-        provenance = "mc_chebyshev"
     elif measure == "uniform":
         pts = rng.uniform(-1.0, 1.0, size=(n, d))
-        provenance = "mc_uniform"
     else:
         raise ValueError(f"unknown measure {measure!r}; expected 'chebyshev' or 'uniform'")
-    return SampleSet(pts, provenance, int(seed))
+    return SampleSet(pts)
 
 
 def point_array(pts) -> np.ndarray:
@@ -245,25 +237,3 @@ def arcsine_box_measure(box) -> float:
     for a, b in box:
         meas *= (math.asin(b) - math.asin(a)) / math.pi
     return meas
-
-
-def write_csv(path, comments, header, rows) -> None:
-    """Write one `# line` per comment, then the header row, then the rows."""
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_points_csv(pts, path, header_comments=()) -> None:
-    """Dump points as CSV with header j,y1,...,yd.
-
-    For a WeilGrid, j is the grid index; otherwise j is the row number.
-    Floats are written as shortest round-trip decimals (exact double
-    round-trip).
-    """
-    arr = point_array(pts)
-    write_csv(path, header_comments, ["j"] + [f"y{i+1}" for i in range(arr.shape[1])],
-              ([j] + [repr(float(v)) for v in row] for j, row in enumerate(arr)))

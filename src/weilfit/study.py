@@ -69,6 +69,10 @@ class StudyConfig:
             raise ValueError(f"scaling constant c must be positive and finite, got {self.c}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_test < 1:
+            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if self.grid == "weil":
             self.repetitions = 1  # deterministic grid: averaging is a no-op
 

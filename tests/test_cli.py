@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from weilfit.cli import main, parse_boxes
-from weilfit.pointgen import is_prime
+from weilfit.diagnostics import check_gram_bounds
+from weilfit.indexsets import build_index_set
+from weilfit.pointgen import is_prime, weil_grid
 from weilfit.study import (StudyConfig, _round_half_up, load_config,
                            realize_cell, resolve_config)
 
@@ -40,6 +42,10 @@ def test_study_config_validation():
         StudyConfig(grid="qmc")
     with pytest.raises(ValueError):
         StudyConfig(grid="mc_uniform", repetitions=0)
+    with pytest.raises(ValueError):
+        StudyConfig(seed=-1)
+    with pytest.raises(ValueError):
+        StudyConfig(n_test=0)
 
 
 def test_load_config_and_precedence(tmp_path):
@@ -127,9 +133,14 @@ def test_points_subcommand(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "# M=997"
     assert lines[1] == "# M_target=1000"
-    assert "j,y1,y2" in lines
+    assert lines[3] == "j,y1,y2"
     assert lines[4] == "0,1.0,1.0"
     assert len(lines) == 4 + 499  # 3 comments + header + rows
+    # shortest round-trip decimals parse back to the exact doubles
+    data = [l.split(",") for l in lines[4:]]
+    assert [int(row[0]) for row in data] == list(range(499))
+    parsed = np.array([[float(v) for v in row[1:]] for row in data])
+    assert np.array_equal(parsed, weil_grid(997, 2).points)
 
 
 def test_fit_subcommand_recovers_coefficient(tmp_path):
@@ -357,6 +368,17 @@ def test_check_bounds_exit_codes(tmp_path, capsys):
     assert {r[1] for r in rows} == {"1", "2"}
     assert all(r[-1] == "false" for r in rows if r[1] == "1")
     assert all(r[-1] == "true" for r in rows if r[1] == "2")
+    # shortest round-trip decimals: the CSV holds the report's exact double
+    M, d, q = (int(v) for v in rows[0][:3])
+    report = check_gram_bounds(M, build_index_set("TD", q, d))
+    assert float(rows[0][3]) == report.max_offdiag_abs
+    # a negative seed is refused before any work: exit 2, no file
+    capsys.readouterr()
+    bad = tmp_path / "bad.csv"
+    assert main(["check-bounds", "--seed", "-3", "--out", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed must be >= 0" in captured.err
+    assert not bad.exists()
     # strict mode: d=1 failures become exit code 3, clean dims exit 0
     assert main(["check-bounds", "--dims", "1", "--orders", "2", "--strict",
                  "--out", str(out)]) == 3

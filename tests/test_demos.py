@@ -1,6 +1,8 @@
-"""Every demo runs to the end with exit code 0 and nothing on stderr."""
+"""Every demo, and the README's python quickstart, runs to the end with exit
+code 0 and nothing on stderr."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,16 +13,27 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout
+
+
 def test_there_are_five_demos():
     assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert proc.stdout
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_quickstart_runs_cleanly(tmp_path):
+    # the README's one python block; an API change that breaks it fails here
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    _run(["-c", blocks[0]], tmp_path)

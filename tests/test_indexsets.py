@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilfit.diagnostics import reference_projection
+from weilfit.diagnostics import l2_error, reference_projection
 from weilfit.indexsets import (KINDS, IndexSet, as_indices, build_index_set,
                                order_less, td_cardinality, total_order,
                                tp_cardinality)
@@ -143,11 +143,16 @@ def test_index_set_forms_give_identical_results(kind, q, d, spec, seed):
 
     pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(4 * s.N + 8, d))
     f = target(pts)
-    want = (basis_matrix(spec, s, pts), solve(pts, f, s, spec).coefficients,
-            reference_projection(target, s, spec, q + 1))
+
+    def outputs(form):
+        fit = solve(pts, f, form, spec)
+        return (basis_matrix(spec, form, pts), fit.coefficients,
+                reference_projection(target, form, spec, q + 1),
+                l2_error(fit, target, n_test=64, seed=seed).l2_error)
+
+    want = outputs(s)
     for form in (list(s.indices), np.array(s.indices)):
-        got = (basis_matrix(spec, form, pts), solve(pts, f, form, spec).coefficients,
-               reference_projection(target, form, spec, q + 1))
+        got = outputs(form)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 

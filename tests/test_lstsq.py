@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weilfit.indexsets import build_index_set
+from weilfit.indexsets import KINDS, build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
                            WeightScheme, compute_weights, condition,
                            evaluate_fit, gram, solve)
 from weilfit.pointgen import mc_sample, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, eval_tensor)
-from weilfit.targets import make
+from weilfit.study import StudyConfig, cell_points, realize_cell
+from weilfit.targets import coefficients, make
+
+SPECS = (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL, LEGENDRE_ORTHONORMAL)
 
 
 def test_weight_scheme_validation():
@@ -155,6 +160,53 @@ def test_boundary_point_zero_weight_is_dropped_gracefully():
     fit = solve(pts, fvals, idx, CHEBYSHEV_CLASSICAL,
                 WeightScheme("density_ratio", "uniform"))
     np.testing.assert_allclose(fit.coefficients, [2.0, 0.0], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# invariances of the solve
+
+CELLS = dict(spec=st.sampled_from(SPECS), kind=st.sampled_from(KINDS),
+             d=st.integers(1, 3), q=st.integers(0, 6),
+             grid=st.sampled_from(["weil", "mc_uniform"]), seed=st.integers(0, 2**32 - 1))
+
+
+def _cell_fit(spec, kind, d, q, grid, seed):
+    """Points, target values, index set and fit of one linear-scaling study cell."""
+    cfg = StudyConfig(space=kind, d=d, scaling="linear", c=2.0, grid=grid, seed=seed)
+    idx, _, m, M = realize_cell(cfg, q)
+    pts = cell_points(cfg, q, m, M, 0).points
+    f = make("expsum", coefficients("expsum", d))(pts)
+    return pts, f, idx, solve(pts, f, idx, spec)
+
+
+def _rounding_unit(fit):
+    """64 cond_D eps ||coeffs||: the room a backward-stable solve has to move
+    the coefficients under a change that leaves the problem the same."""
+    eps = np.finfo(float).eps
+    return 64 * fit.condition_report.cond_D * eps * np.linalg.norm(fit.coefficients)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-8, 8), **CELLS)
+def test_power_of_two_scaling_scales_coefficients_exactly(k, spec, kind, d, q, grid, seed):
+    # the design matrix does not see the values, and a power of two scales
+    # every later product and sum without rounding
+    pts, f, idx, fit = _cell_fit(spec, kind, d, q, grid, seed)
+    scaled = solve(pts, 2.0 ** k * f, idx, spec)
+    assert np.array_equal(scaled.coefficients, 2.0 ** k * fit.coefficients)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.01, 100.0), **CELLS)
+def test_scaling_and_row_permutation_leave_coefficients_within_rounding(
+        a, spec, kind, d, q, grid, seed):
+    pts, f, idx, fit = _cell_fit(spec, kind, d, q, grid, seed)
+    unit = _rounding_unit(fit)
+    scaled = solve(pts, a * f, idx, spec).coefficients
+    assert np.linalg.norm(scaled - a * fit.coefficients) <= a * unit
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    permuted = solve(pts[perm], f[perm], idx, spec).coefficients
+    assert np.linalg.norm(permuted - fit.coefficients) <= unit
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from weilfit.pointgen import (SampleSet, arcsine_box_measure,
-                              equidist_box_fraction, is_prime, mc_sample,
-                              nearest_prime, point_array,
-                              weil_exponential_sum, weil_grid,
-                              write_points_csv)
+from weilfit.pointgen import (arcsine_box_measure, equidist_box_fraction,
+                              is_prime, mc_sample, nearest_prime, point_array,
+                              weil_exponential_sum, weil_grid)
 
 
 def trial_division_prime(n):
@@ -142,14 +140,6 @@ def test_weil_grid_refuses_a_grid_larger_than_physical_memory(monkeypatch):
     assert weil_grid(101, 2).n_points == 51  # size unknown: no guard
 
 
-def test_sample_set_view():
-    g = weil_grid(11, 2)
-    s = g.sample_set()
-    assert isinstance(s, SampleSet)
-    assert s.provenance == "weil"
-    assert s.points is g.points
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo samplers
 
@@ -163,12 +153,11 @@ def test_mc_sample_reproducible():
     assert not np.array_equal(a.points, mc_sample("chebyshev", 100, 3, seed=43).points)
 
 
-def test_mc_sample_provenance_and_shape():
+def test_mc_sample_shape_and_range():
     s = mc_sample("uniform", 50, 2, seed=0)
-    assert s.provenance == "mc_uniform" and s.seed == 0
     assert s.points.shape == (50, 2)
     s = mc_sample("chebyshev", 50, 2, seed=0)
-    assert s.provenance == "mc_chebyshev"
+    assert s.points.shape == (50, 2)
     assert np.all(np.abs(s.points) <= 1.0)
 
 
@@ -297,28 +286,13 @@ def test_box_validation():
 
 
 # ---------------------------------------------------------------------------
-# CSV dump and point_array
-
-def test_write_points_csv_round_trip(tmp_path):
-    g = weil_grid(997, 2)
-    path = tmp_path / "pts.csv"
-    write_points_csv(g, path, header_comments=["M=997"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# M=997"
-    assert lines[1] == "j,y1,y2"
-    assert lines[2] == "0,1.0,1.0"
-    data = [l.split(",") for l in lines[2:]]
-    assert len(data) == 499
-    # shortest round-trip decimals parse back to the exact doubles
-    parsed = np.array([[float(v) for v in row[1:]] for row in data])
-    assert np.array_equal(parsed, g.points)
-    assert [int(row[0]) for row in data] == list(range(499))
-
+# point_array
 
 def test_point_array_forms():
     g = weil_grid(11, 2)
     assert point_array(g).shape == (6, 2)
-    assert point_array(g.sample_set()).shape == (6, 2)
+    s = mc_sample("uniform", 6, 2, seed=0)
+    assert point_array(s).shape == (6, 2) and np.array_equal(point_array(s), s.points)
     arr = np.zeros((4, 3))
     assert point_array(arr) is not None
     assert point_array(np.zeros(5)).shape == (5, 1)  # 1-d promotes to d=1

@@ -12,7 +12,7 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from weilfit.indexsets import build_index_set
-from weilfit.lstsq import UNIT_WEIGHTS, ConditionReport, FitResult, evaluate_fit
+from weilfit.lstsq import ConditionReport, FitResult, evaluate_fit
 from weilfit.pointgen import weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
@@ -191,7 +191,7 @@ def test_streamed_evaluation_is_bit_identical_to_full_product(spec, kind, d, q, 
     c = np.random.default_rng(seed).standard_normal(len(idx))
     want = basis_matrix(spec, idx, pts) @ c
     assert np.array_equal(evaluate_expansion(spec, idx, pts, c), want)
-    fit = FitResult(c, idx, spec, UNIT_WEIGHTS, 0.0, ConditionReport(1.0, 1.0), None)
+    fit = FitResult(c, idx, spec, 0.0, ConditionReport(1.0, 1.0))
     assert np.array_equal(evaluate_fit(fit, pts), want)
 
 
