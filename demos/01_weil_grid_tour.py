@@ -27,7 +27,7 @@ print(f"modulus M = {M}, dimension d = 3, points = {grid.n_points} "
       f"(= floor(M/2) + 1)")
 print("\nfirst rows (j, residues, point):")
 for j in range(5):
-    res = tuple(int(r) for r in grid.residues[j])
+    res = tuple(pow(j, k, M) for k in range(1, 4))
     pt = np.array2string(grid.points[j], precision=4)
     print(f"  j={j}:  {res}  ->  {pt}")
 

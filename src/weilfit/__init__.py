@@ -9,8 +9,8 @@ tensor Chebyshev/Legendre bases, solves the weighted least-squares problem by
 SVD, and ships diagnostics that verify the quantitative bounds.
 """
 
-from .indexsets import (IndexSet, as_indices, build_index_set, order_less,
-                        td_cardinality, total_order, tp_cardinality)
+from .indexsets import (IndexSet, as_indices, build_index_set,
+                        td_cardinality, tp_cardinality)
 from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
                        equidist_box_fraction, is_prime, mc_sample,
                        nearest_prime, point_array, weil_exponential_sum,
@@ -29,8 +29,8 @@ from .study import StudyConfig, realize_cell
 __version__ = "0.1.0"
 
 __all__ = [
-    "IndexSet", "as_indices", "build_index_set", "order_less",
-    "td_cardinality", "total_order", "tp_cardinality",
+    "IndexSet", "as_indices", "build_index_set", "td_cardinality",
+    "tp_cardinality",
     "SampleSet", "WeilGrid", "arcsine_box_measure", "equidist_box_fraction",
     "is_prime", "mc_sample", "nearest_prime", "point_array",
     "weil_exponential_sum", "weil_grid",

@@ -138,7 +138,7 @@ def cmd_fit(args) -> int:
                 f"residual_norm={repr(fit.residual_norm)}"],
                ["index", "coefficient"],
                [["(" + ",".join(str(c) for c in n) + ")", repr(float(coef))]
-                for n, coef in zip(index_set.indices, fit.coefficients)])
+                for n, coef in zip(index_set, fit.coefficients)])
     print(f"N={index_set.N} cond_D={rep.cond_D:.6e} cond_A={rep.cond_A:.6e} "
           f"residual={fit.residual_norm:.6e}")
     return 0
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,84 +1,52 @@
 """Multi-index sets for tensor-product and total-degree polynomial spaces.
 
 An index set has one numeric format: a read-only (N, d) int64 array whose row
-j is the multi-index of column j of the design matrix.  `IndexSet.array`
-builds it once; `as_indices` is the one place that turns a caller's index set
-(an IndexSet, a sequence of equal-length integer tuples, or an (N, d) integer
-array) into it and rejects malformed input.  Every other module works on that
-array.  `IndexSet.indices` keeps the tuples for printing and ordering.
+j is the multi-index of column j of the design matrix.  An IndexSet is that
+array plus its (kind, q, d).  `as_indices` is the one place that turns a
+caller's index set (an IndexSet, a sequence of equal-length integer tuples, or
+an (N, d) integer array) into it and rejects malformed input.  Every other
+module works on that array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .pointgen import check_memory
+
 KINDS = ("TP", "TD")
 
-# Cardinalities beyond this are rejected outright: row/column counts must stay
-# exactly representable as doubles and within any sane desk-scale budget.
-MAX_CARDINALITY = 2**53
 
-
-def total_order(n) -> int:
-    """Sum of the entries of a multi-index."""
-    return sum(n)
-
-
-def order_less(a, b) -> bool:
-    """Strict order on multi-indices: total order first, ties broken by the
-    first differing coordinate.
-
-    Raises ValueError if the two indices have different lengths.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: len {len(a)} vs {len(b)}")
-    sa, sb = sum(a), sum(b)
-    if sa != sb:
-        return sa < sb
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
-def _order_key(n):
-    # Consistent with order_less: (total order, tuple lexicographic).
-    return (sum(n), n)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
     """An ordered multi-index set.
 
-    kind    -- "TP" (max_i n_i <= q) or "TD" (sum_i n_i <= q)
-    q       -- order parameter
-    d       -- number of coordinates
-    indices -- tuple of d-tuples, sorted by order_less
-    array   -- the indices as a read-only (N, d) int64 array, built once
+    kind  -- "TP" (max_i n_i <= q) or "TD" (sum_i n_i <= q)
+    q     -- order parameter
+    d     -- number of coordinates
+    array -- the multi-indices as a read-only (N, d) int64 array, rows in
+             canonical order: total order first, then lexicographic
+
+    Iterating yields the rows as tuples of ints.
     """
 
     kind: str
     q: int
     d: int
-    indices: tuple
+    array: np.ndarray
 
     @property
     def N(self) -> int:
-        return len(self.indices)
+        return self.array.shape[0]
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.array.shape[0]
 
     def __iter__(self):
-        return iter(self.indices)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return _to_array(self.indices)
+        return map(tuple, self.array.tolist())
 
 
 def tp_cardinality(q: int, d: int) -> int:
@@ -88,31 +56,16 @@ def td_cardinality(q: int, d: int) -> int:
     return math.comb(q + d, d)
 
 
-def _tp_indices(q, d):
-    if d == 1:
-        for n in range(q + 1):
-            yield (n,)
-    else:
-        for head in range(q + 1):
-            for tail in _tp_indices(q, d - 1):
-                yield (head,) + tail
-
-
-def _td_indices(q, d):
-    if d == 1:
-        for n in range(q + 1):
-            yield (n,)
-    else:
-        for head in range(q + 1):
-            for tail in _td_indices(q - head, d - 1):
-                yield (head,) + tail
-
-
 def build_index_set(kind: str, q: int, d: int) -> IndexSet:
-    """Build the TP or TD multi-index set of order q in d coordinates,
-    sorted by order_less.
+    """Build the TP or TD multi-index set of order q in d coordinates, in
+    canonical order (total order first, then lexicographic).
 
-    Rejects d < 1, q < 0, unknown kinds, and cardinalities above 2**53.
+    The rows grow one coordinate at a time: each row is repeated once per
+    admissible value of the next coordinate, in increasing order, which keeps
+    the rows lexicographically sorted; one stable sort by row sum then gives
+    the canonical order.  Rejects d < 1, q < 0 and unknown kinds, and refuses
+    a set whose build (about 3*8*N*d bytes) exceeds physical memory before
+    anything is allocated.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -120,16 +73,16 @@ def build_index_set(kind: str, q: int, d: int) -> IndexSet:
         raise ValueError(f"q must be >= 0, got {q}")
     if kind not in KINDS:
         raise ValueError(f"unknown index set kind {kind!r}; expected one of {KINDS}")
-    n_expected = tp_cardinality(q, d) if kind == "TP" else td_cardinality(q, d)
-    if n_expected > MAX_CARDINALITY:
-        raise ValueError(
-            f"index set {kind}(q={q}, d={d}) has {n_expected} elements, "
-            f"beyond the supported limit 2**53"
-        )
-    gen = _tp_indices(q, d) if kind == "TP" else _td_indices(q, d)
-    indices = tuple(sorted(gen, key=_order_key))
-    assert len(indices) == n_expected
-    return IndexSet(kind, q, d, indices)
+    N = tp_cardinality(q, d) if kind == "TP" else td_cardinality(q, d)
+    check_memory(f"the index set {kind}(q={q}, d={d})", 3 * 8 * N * d)
+    rows = np.arange(q + 1, dtype=np.int64)[:, None]
+    for _ in range(1, d):
+        counts = np.full(len(rows), q + 1) if kind == "TP" else q + 1 - rows.sum(axis=1)
+        last = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+    array = rows[np.argsort(rows.sum(axis=1), kind="stable")]
+    array.flags.writeable = False
+    return IndexSet(kind, q, d, array)
 
 
 def _to_array(raw) -> np.ndarray:
@@ -157,7 +110,7 @@ def as_indices(index_set) -> np.ndarray:
     """The index set as a read-only (N, d) int64 array, row j = the j-th
     multi-index.
 
-    An IndexSet returns its cached `array` (no copy).  A plain sequence of
+    An IndexSet returns its `array` (no copy).  A plain sequence of
     equal-length integer tuples, or an (N, d) integer array, is validated and
     copied.  Raises ValueError on empty input, ragged lengths, negative
     entries, or entries of a non-integer type (1.5 and 1.0 alike).

@@ -7,8 +7,8 @@ The deterministic grid for a prime M and dimension d is
     j = 0, 1, ..., floor(M/2).
 
 Rows j and M-j coincide coordinatewise (cos is even), so only the first
-floor(M/2)+1 rows are ever generated.  The residue table (j^k mod M) is
-computed with exact integer arithmetic; the cosine is applied once per entry.
+floor(M/2)+1 rows are ever generated.  The residues j^k mod M are computed
+with exact integer arithmetic; the cosine is applied once per entry.
 Cancellation in the associated exponential sums is governed by Weil's
 classical bound |sum_j e^{2*pi*i*f(j)/M}| <= (d-1)*sqrt(M) for polynomials f
 of degree d with some coefficient not divisible by the prime M, which is what
@@ -91,6 +91,15 @@ def _physical_memory():
         return None
 
 
+def check_memory(what: str, size: int) -> None:
+    """Raise ValueError when `what` needs more than the machine's physical
+    memory (`size` bytes); no check where that memory size is unknown."""
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise ValueError(f"{what} needs {size / 2**30:.1f} GiB, more than the "
+                         f"{memory / 2**30:.1f} GiB of physical memory")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A batch of Monte Carlo points in [-1,1]^d."""
@@ -104,7 +113,6 @@ class WeilGrid:
 
     M: int
     d: int
-    residues: np.ndarray  # (floor(M/2)+1, d) int64, exact j^k mod M
     points: np.ndarray    # (floor(M/2)+1, d) float64
 
     @property
@@ -124,28 +132,28 @@ def weil_grid(M: int, d: int) -> WeilGrid:
     -------
     WeilGrid with floor(M/2)+1 rows.  Row j=0 is exactly (1, ..., 1).
 
-    A grid whose residue and point arrays, 16*d*(floor(M/2)+1) bytes, exceed
-    the machine's physical memory is refused with ValueError before anything
-    is allocated.
+    Each residue column j^k mod M is computed exactly in int64 and written
+    straight into the point array, which the cosine then overwrites.  A grid
+    whose 8*d*(floor(M/2)+1) bytes of points exceed the machine's physical
+    memory is refused with ValueError before anything is allocated.
     """
     M, d = int(M), int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_modulus(M)
     m = M // 2
-    size, memory = 16 * d * (m + 1), _physical_memory()
-    if memory is not None and size > memory:
-        raise ValueError(f"the grid for M={M}, d={d} needs {size / 2**30:.1f} GiB, "
-                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
+    check_memory(f"the grid for M={M}, d={d}", 8 * d * (m + 1))
     js = np.arange(m + 1, dtype=np.int64)
-    residues = np.empty((m + 1, d), dtype=np.int64)
+    points = np.empty((m + 1, d))
     r = js % M
-    residues[:, 0] = r
+    points[:, 0] = r
     for k in range(1, d):
         r = (r * js) % M
-        residues[:, k] = r
-    points = np.cos(2.0 * np.pi * residues / M)
-    return WeilGrid(M, d, residues, points)
+        points[:, k] = r
+    points *= 2.0 * np.pi
+    points /= M
+    np.cos(points, out=points)
+    return WeilGrid(M, d, points)
 
 
 def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:

@@ -21,7 +21,8 @@ import numpy as np
 from . import targets
 from .indexsets import KINDS, build_index_set
 from .lstsq import UNIT_WEIGHTS, WeightScheme
-from .pointgen import MAX_MODULUS, mc_sample, nearest_prime, weil_grid
+from .pointgen import (MAX_MODULUS, check_memory, mc_sample, nearest_prime,
+                       weil_grid)
 from .polybasis import BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
@@ -71,6 +72,8 @@ class StudyConfig:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.coeff_seed < -1:
+            raise ValueError(f"coeff_seed must be >= 0 (or -1, unset), got {self.coeff_seed}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if self.grid == "weil":
@@ -170,11 +173,15 @@ def run(cfg: StudyConfig, value):
 
     Returns (rows, reps): one (q, N, m, M, mean over repetitions) row per
     order and one (q, rep, value) entry per repetition, both in (q, rep)
-    order.
+    order.  Before the first repetition of an evaluated cell, a design (and
+    the copy the SVD makes of it, 2*8*m*N bytes) larger than physical memory
+    raises ValueError.
     """
     rows, reps = [], []
     for q in range(cfg.q_min, cfg.q_max + 1):
         index_set, N, m, M = realize_cell(cfg, q)
+        if m >= N:
+            check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
         vals = []
         for rep in range(cfg.repetitions):
             if m < N:

@@ -46,6 +46,8 @@ def test_study_config_validation():
         StudyConfig(seed=-1)
     with pytest.raises(ValueError):
         StudyConfig(n_test=0)
+    with pytest.raises(ValueError):
+        StudyConfig(coeff_seed=-7)
 
 
 def test_load_config_and_precedence(tmp_path):
@@ -214,26 +216,51 @@ def test_io_error_exits_4(tmp_path, capsys):
 
 def test_memory_error_exits_2_without_output(tmp_path, capsys, monkeypatch):
     # a modulus that passes validation but whose grid cannot be allocated;
-    # the stand-in raises instead of allocating
-    def too_large(M, d):
-        raise MemoryError("Unable to allocate 44.7 GiB for an array")
+    # the stand-in raises instead of allocating.  An exception without text
+    # is named by its type.
+    for exc, message in ((MemoryError("Unable to allocate 44.7 GiB for an array"),
+                          "error: Unable to allocate 44.7 GiB for an array\n"),
+                         (MemoryError(), "error: MemoryError\n")):
+        def too_large(M, d):
+            raise exc
 
-    monkeypatch.setattr("weilfit.cli.weil_grid", too_large)
-    out = tmp_path / "pts.csv"
-    rc = main(["points", "--M", "3000000000", "--d", "2", "--out", str(out)])
-    assert rc == 2
-    assert "error: Unable to allocate 44.7 GiB" in capsys.readouterr().err
-    assert not out.exists()
+        monkeypatch.setattr("weilfit.cli.weil_grid", too_large)
+        out = tmp_path / "pts.csv"
+        rc = main(["points", "--M", "3000000000", "--d", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 def test_grid_larger_than_physical_memory_exits_2_without_output(tmp_path, capsys,
                                                                  monkeypatch):
-    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    # the grid needs 816 bytes
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 500)
     out = tmp_path / "pts.csv"
     rc = main(["points", "--M", "101", "--d", "2", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "physical memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, what", [
+    # 21**10 = 1.7e13 multi-indices
+    (["--space", "TP", "--d", "10", "--q-min", "20", "--q-max", "20"],
+     "the index set TP(q=20, d=10) needs "),
+    # D is 828184 x 1287 doubles, and the SVD copies it
+    (["--space", "TD", "--d", "5", "--q-min", "8", "--q-max", "8", "--scaling", "quadratic",
+      "--c", "0.5"], "the 828184 x 1287 design of cell q=8 needs 15.9 GiB, "),
+], ids=["index-set", "design"])
+def test_study_larger_than_physical_memory_exits_2_without_output(tmp_path, capsys,
+                                                                  monkeypatch, argv, what):
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**33)
+    out = tmp_path / "study.csv"
+    rc = main(["cond-study"] + argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + what) and err.count("\n") == 1
+    assert err.endswith("more than the 8.0 GiB of physical memory\n")
     assert not out.exists()
 
 
@@ -304,6 +331,17 @@ def test_conv_study_weil_error_decreases(tmp_path):
     assert len(errs) == 5
     assert all(b < a for a, b in zip(errs, errs[1:]))  # strictly decreasing
     assert errs[-1] < 1e-4
+
+
+def test_conv_study_negative_coeff_seed_exits_2_without_output(tmp_path, capsys):
+    # only -1 means "unset"; any other negative seed is a typo, not the
+    # published coefficients
+    out = tmp_path / "conv.csv"
+    rc = main(["conv-study", "--q-max", "2", "--coeff-seed", "-7", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coeff_seed") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_conv_study_respects_config_file(tmp_path):

@@ -1,15 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilfit.diagnostics import l2_error, reference_projection
 from weilfit.indexsets import (KINDS, IndexSet, as_indices, build_index_set,
-                               order_less, td_cardinality, total_order,
-                               tp_cardinality)
+                               td_cardinality, tp_cardinality)
 from weilfit.lstsq import solve
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, basis_matrix,
@@ -29,7 +29,7 @@ def test_worked_cardinalities():
     assert build_index_set("TD", 2, 2).N == 6
     assert build_index_set("TP", 3, 2).N == 16
     s = build_index_set("TD", 0, 5)
-    assert s.N == 1 and s.indices == ((0, 0, 0, 0, 0),)
+    assert s.N == 1 and list(s) == [(0, 0, 0, 0, 0)]
 
 
 def test_cardinality_formulas_exhaustive():
@@ -39,55 +39,30 @@ def test_cardinality_formulas_exhaustive():
             td = build_index_set("TD", q, d)
             assert tp.N == (q + 1) ** d == tp_cardinality(q, d)
             assert td.N == math.comb(q + d, d) == td_cardinality(q, d)
-            assert list(tp.indices) == brute_force_set("TP", q, d)
-            assert list(td.indices) == brute_force_set("TD", q, d)
+            assert list(tp) == brute_force_set("TP", q, d)
+            assert list(td) == brute_force_set("TD", q, d)
 
 
 def test_td_subset_of_tp():
     for q in range(5):
         for d in range(1, 4):
-            td = set(build_index_set("TD", q, d).indices)
-            tp = set(build_index_set("TP", q, d).indices)
+            td = set(build_index_set("TD", q, d))
+            tp = set(build_index_set("TP", q, d))
             assert td <= tp
 
 
-def test_order_less_examples():
-    assert order_less((0, 1), (2, 0))
-    assert not order_less((1, 1), (1, 1))
-    # equal total order, tie broken by the first differing coordinate
-    assert order_less((0, 2), (1, 1))
-    assert not order_less((1, 1), (0, 2))
-
-
-def test_order_less_brute_force_sort():
-    raw = [n for n in itertools.product(range(3), repeat=2) if sum(n) == 2]
-    import functools
-    got = sorted(raw, key=functools.cmp_to_key(
-        lambda a, b: -1 if order_less(a, b) else (1 if order_less(b, a) else 0)))
-    assert got == [(0, 2), (1, 1), (2, 0)]
-
-
-def test_order_less_is_strict_total_order():
-    idx = build_index_set("TD", 2, 3).indices  # N = 10
-    for a in idx:
-        assert not order_less(a, a)
-    for a, b in itertools.permutations(idx, 2):
-        assert order_less(a, b) != order_less(b, a)  # antisymmetric and total
-    for a, b, c in itertools.permutations(idx, 3):
-        if order_less(a, b) and order_less(b, c):
-            assert order_less(a, c)
-
-
-def test_indices_sorted_under_order_less():
-    for kind in ("TP", "TD"):
-        s = build_index_set(kind, 3, 3)
-        for a, b in zip(s.indices, s.indices[1:]):
-            assert order_less(a, b)
-
-
-def test_total_order():
-    assert total_order((0, 0)) == 0
-    assert total_order((3, 1, 2)) == 6
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), q=st.integers(0, 12), d=st.integers(1, 6))
+def test_array_matches_brute_force_in_canonical_order(kind, q, d):
+    N = tp_cardinality(q, d) if kind == "TP" else td_cardinality(q, d)
+    assume(N <= 2 * 10**5)
+    arr = build_index_set(kind, q, d).array
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert np.array_equal(arr, np.array(brute_force_set(kind, q, d)).reshape(N, d))
+    # consecutive rows strictly increase in (row sum, then lexicographic)
+    steps = np.diff(np.column_stack([arr.sum(axis=1), arr]), axis=0)
+    first = steps[np.arange(len(steps)), np.argmax(steps != 0, axis=1)]
+    assert np.all(first > 0)
 
 
 def test_invalid_arguments():
@@ -97,17 +72,26 @@ def test_invalid_arguments():
         build_index_set("TD", -1, 2)
     with pytest.raises(ValueError):
         build_index_set("XX", 2, 2)
-    with pytest.raises(ValueError):
-        order_less((0, 1), (0, 1, 2))
 
 
-def test_overflow_rejection():
-    # 11**16 ~ 4.6e16 > 2**53
-    with pytest.raises(ValueError):
-        build_index_set("TP", 10, 16)
-    # TD overflow: C(q+d, d) huge
-    with pytest.raises(ValueError):
-        build_index_set("TD", 2**30, 3)
+def test_index_set_larger_than_physical_memory_raises_before_allocating(monkeypatch):
+    # 3*8*N*d bytes: 288 for TD(2, 2), 4608 for TP(3, 3) against a stand-in
+    # memory size of 1000 bytes
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    assert build_index_set("TD", 2, 2).N == 6
+    with pytest.raises(ValueError, match=r"TP\(q=3, d=3\) needs .* physical memory"):
+        build_index_set("TP", 3, 3)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**33)
+    tracemalloc.start()
+    try:
+        for kind, q, d in (("TP", 20, 10), ("TD", 2**30, 3)):  # 1.7e13 and 1.9e26 rows
+            with pytest.raises(ValueError, match="physical memory"):
+                build_index_set(kind, q, d)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: None)
+    assert build_index_set("TP", 3, 3).N == 64  # size unknown: no check
 
 
 def test_as_indices_accepts_plain_sequences():
@@ -116,7 +100,7 @@ def test_as_indices_accepts_plain_sequences():
     assert got.dtype == np.int64 and got.shape == (2, 2)
     s = build_index_set("TD", 1, 2)
     got = as_indices(s)
-    assert got.tolist() == [list(n) for n in s.indices]
+    assert got.tolist() == [list(n) for n in s]
     assert got.dtype == np.int64 and got.shape == (s.N, 2)
     with pytest.raises(ValueError):
         as_indices([])
@@ -135,7 +119,7 @@ def test_index_set_forms_give_identical_results(kind, q, d, spec, seed):
     # An IndexSet, its tuples and its int array are one index set to every layer.
     s = build_index_set(kind, q, d)
     arr = as_indices(s)
-    assert np.array_equal(arr, np.array(s.indices)) and arr.dtype == np.int64
+    assert np.array_equal(arr, np.array(list(s))) and arr.dtype == np.int64
     assert not arr.flags.writeable and as_indices(s) is arr
 
     def target(y):
@@ -151,7 +135,7 @@ def test_index_set_forms_give_identical_results(kind, q, d, spec, seed):
                 l2_error(fit, target, n_test=64, seed=seed).l2_error)
 
     want = outputs(s)
-    for form in (list(s.indices), np.array(s.indices)):
+    for form in (list(s), np.array(list(s))):
         got = outputs(form)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -160,7 +144,7 @@ def test_index_set_forms_give_identical_results(kind, q, d, spec, seed):
 @settings(max_examples=60, deadline=None)
 @given(q=st.integers(1, 4), d=st.integers(1, 3), data=st.data())
 def test_malformed_index_sets_raise(q, d, data):
-    rows = [list(n) for n in build_index_set("TP", q, d).indices]
+    rows = [list(n) for n in build_index_set("TP", q, d)]
     j = data.draw(st.integers(0, len(rows) - 1))
     i = data.draw(st.integers(0, d - 1))
     flaw = data.draw(st.sampled_from(["empty", "ragged", "negative", "fraction"]))
@@ -189,5 +173,7 @@ def test_malformed_index_sets_raise(q, d, data):
 def test_index_set_container_protocol():
     s = build_index_set("TD", 2, 2)
     assert len(s) == 6
-    assert list(iter(s)) == list(s.indices)
+    # canonical order: total order first, then lexicographic; plain int tuples
+    assert list(s) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert all(type(c) is int for n in s for c in n)
     assert isinstance(s, IndexSet)

@@ -80,9 +80,9 @@ def test_nearest_prime_rejects_below_two():
 def test_weil_grid_residue_example():
     g = weil_grid(7, 3)
     assert g.n_points == 4
-    assert tuple(g.residues[3]) == (3, 2, 6)  # 3^2=9=2, 3^3=27=6 (mod 7)
-    expected = np.cos(2 * np.pi * np.array([3.0, 2.0, 6.0]) / 7)
-    np.testing.assert_allclose(g.points[3], expected, rtol=0, atol=0)
+    R = np.array([pow(3, k + 1, 7) for k in range(3)])
+    assert R.tolist() == [3, 2, 6]  # 3^2=9=2, 3^3=27=6 (mod 7)
+    assert np.array_equal(g.points[3], np.cos(2.0 * np.pi * R / 7))
 
 
 def test_weil_grid_golden_rows_m7_d2():
@@ -99,7 +99,6 @@ def test_weil_grid_row_zero_exactly_ones():
     for M in (2, 3, 97, 997):
         g = weil_grid(M, 3)
         assert np.all(g.points[0] == 1.0)
-        assert np.all(g.residues[0] == 0)
 
 
 def test_weil_grid_row_count_and_range():
@@ -113,9 +112,8 @@ def test_weil_grid_residues_match_modular_pow_oracle():
     primes = [M for M in range(2, 102) if trial_division_prime(M)]
     for M in primes:
         g = weil_grid(M, 5)
-        for j in range(g.n_points):
-            for k in range(5):
-                assert g.residues[j, k] == pow(j, k + 1, M)
+        R = np.array([[pow(j, k + 1, M) for k in range(5)] for j in range(g.n_points)])
+        assert np.array_equal(g.points, np.cos(2.0 * np.pi * R / M))
 
 
 def test_weil_grid_rejects_bad_input():
@@ -130,9 +128,9 @@ def test_weil_grid_rejects_bad_input():
 
 
 def test_weil_grid_refuses_a_grid_larger_than_physical_memory(monkeypatch):
-    # 16*d*(M//2+1) bytes: 512 for (31, 2), 1632 for (101, 2); the stand-in
+    # 8*d*(M//2+1) bytes: 256 for (31, 2), 816 for (101, 2); the stand-in
     # memory size keeps the refused grid tiny
-    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 500)
     assert weil_grid(31, 2).n_points == 16
     with pytest.raises(ValueError, match="physical memory"):
         weil_grid(101, 2)
