@@ -198,8 +198,9 @@ def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0) -> Error
     uniform test points in [-1,1]^d drawn with the given seed.
 
     The fit is evaluated by evaluate_fit, which streams the test points in
-    row blocks: memory is O(256*N + d*(q+1)*n_test) floats, with q the
-    largest index component, not the n_test*N of the test design matrix.
+    row blocks: memory is the d*(q+1)*n_test floats of the 1-d tables, with
+    q the largest index component, plus a few block temporaries of about
+    32768 floats each, not the n_test*N of the test design matrix.
     """
     d = as_indices(fit.index_set).shape[1]
     test = mc_sample("uniform", n_test, d, seed)

@@ -179,9 +179,10 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
     """Evaluate the fitted polynomial at new points.
 
-    Streams the points through `evaluate_expansion` in row blocks, so the
-    test design matrix is never held whole; at one BLAS thread the values
-    equal basis_matrix(...) @ fit.coefficients bit for bit.
+    Streams the points through `evaluate_expansion` in row blocks of about
+    32768 entries of the design matrix, which is never held whole; at one
+    BLAS thread the values equal basis_matrix(...) @ fit.coefficients bit for
+    bit.  Non-finite coefficients raise ValueError.
     """
     return evaluate_expansion(fit.basis, fit.index_set, pts, fit.coefficients)
 

@@ -197,7 +197,9 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
     Requires prime M and at least one coefficient not divisible by M, the
     hypotheses of Weil's bound |sum| <= (d-1)*sqrt(M).  The residues f(j) mod M
     are computed by exact int64 Horner evaluation, so M <= 3 037 000 499; each
-    term contributes one complex exponential.
+    term contributes one complex exponential.  The arrays of M entries take
+    48*M bytes at their peak; a sum whose arrays exceed the machine's physical
+    memory is refused with ValueError before anything is allocated.
     """
     M = int(M)
     _check_modulus(M)
@@ -209,6 +211,7 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
             "all coefficients are divisible by M; the exponential-sum bound "
             "hypothesis fails"
         )
+    check_memory(f"the exponential sum for M={M}", 48 * M)
     js = np.arange(M, dtype=np.int64)
     acc = np.zeros(M, dtype=np.int64)
     for c in reversed(cmod):  # Horner: f(x) = x*(c_1 + x*(c_2 + ...))

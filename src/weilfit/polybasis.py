@@ -11,11 +11,13 @@ Two normalizations are supported:
 One table routine computes every 1-d value.  Chebyshev values come from the
 cosine representation, not a recurrence, so the classical values are exact
 cosines of exact multiples of arccos(y); Legendre values come from a single
-pass of the three-term recurrence.  basis_matrix gathers the rows of D from
-these tables block by block, multiplying the 1-d factors in coordinate order,
-so D equals eval_tensor column by column to the last bit.  evaluate_expansion
-runs the same block loop but multiplies each block by the coefficients at
-once, so D @ c comes out without D ever being held whole.
+pass of the three-term recurrence.  One kernel builds D from these tables,
+one block of about _BLOCK_ENTRIES entries at a time: it gathers whole table
+rows and shares the products of index prefixes between the columns that
+have them, multiplying the 1-d factors in coordinate order, so D equals
+eval_tensor column by column to the last bit.  basis_matrix writes the blocks
+into D; evaluate_expansion multiplies each block by the coefficients at once,
+so D @ c comes out without D ever being held whole.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import as_indices
-from .pointgen import point_array
+from .pointgen import check_memory, point_array
 
 FAMILIES = ("chebyshev", "legendre")
 NORMALIZATIONS = ("classical", "orthonormal")
@@ -129,14 +131,14 @@ def eval_tensor(spec: BasisSpec, n, y):
     return float(acc[0]) if single else acc
 
 
-# Rows of D per gather; small, so the gather temporaries stay far below D.
-# A multiple of 4, so every block starts at one (see _row_blocks).
-_BLOCK = 256
+# Entries of D per block: 256 KiB of float64, so each block's temporaries
+# stay in cache and far below D.  On the 50000 x 455 conv-eval test design,
+# half and twice this size were slower.
+_BLOCK_ENTRIES = 32768
 
 
-def _prepare(spec, index_set, pts):
-    """Validated (N, d) index array and the transposed 1-d tables: tables[i]
-    is (m, qmax+1) with tables[i][r, n] = phi_n(y_r^i)."""
+def _prepare(index_set, pts):
+    """Validated (N, d) index array and (m, d) point array."""
     idx = as_indices(index_set)
     arr = point_array(pts)
     if arr.shape[0] == 0:
@@ -145,32 +147,63 @@ def _prepare(spec, index_set, pts):
     if arr.shape[1] != d:
         raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
     check_domain(arr)
+    return idx, arr
+
+
+def _levels(spec, idx, arr):
+    """One (parent, value, table) triple per coordinate i.  table is the
+    C-order (qmax+1, m) array with table[n, r] = phi_n(y_r^i); row k of
+    level i is the product of level i-1's row parent[k] and table[value[k]].
+
+    Level 0 has no parent: it is table[value] itself, every order 0..qmax
+    (every index when d = 1).  Each middle level holds the distinct prefixes
+    idx[:, :i+1] (np.unique, so only when d >= 3); the last level holds
+    every index in column order.
+    """
+    d = idx.shape[1]
     qmax = int(idx.max())
-    return idx, [_tables(spec, arr[:, i], qmax).T for i in range(d)]
+    if d == 1:
+        plan = [(None, idx[:, 0])]
+    else:
+        plan = [(None, np.arange(qmax + 1))]
+        parent = idx[:, 0]  # row of each index's prefix in the latest level
+        for i in range(1, d - 1):
+            prefixes, first, inverse = np.unique(
+                idx[:, :i + 1], axis=0, return_index=True, return_inverse=True)
+            plan.append((parent[first], prefixes[:, i]))
+            parent = inverse.reshape(-1)
+        plan.append((parent, idx[:, -1]))
+    return [level + (_tables(spec, arr[:, i], qmax),) for i, level in enumerate(plan)]
 
 
-def _row_blocks(m):
-    """Row slices of at most _BLOCK + 1 rows covering range(m).
+def _row_blocks(m, N):
+    """Row slices covering range(m), of about _BLOCK_ENTRIES // N rows.
 
     At one thread, OpenBLAS gives the matrix-vector product of a block of D
     the same bits as the rows of the full D @ c when the block starts at a
-    multiple of 4 and has at least 2 rows.  So every slice starts at a
-    multiple of _BLOCK, and a lone last row is merged into the slice before
-    it: numpy multiplies a 1-row matrix on another path, which changes the
-    last bits.
+    multiple of 4 and has at least 2 rows.  So the block length is a
+    multiple of 4 (at least 4), and a lone last row is merged into the
+    slice before it: numpy multiplies a 1-row matrix on another path, which
+    changes the last bits.
     """
-    starts = list(range(0, m, _BLOCK))
+    size = max(4, _BLOCK_ENTRIES // N // 4 * 4)
+    starts = list(range(0, m, size))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
-def _gather(idx, tables, rows, out):
-    """Fill out[r, j] = prod_i tables[i][rows][r, idx[j, i]], multiplying the
-    1-d factors in coordinate order."""
-    np.take(tables[0][rows], idx[:, 0], axis=1, out=out)
-    for i in range(1, idx.shape[1]):
-        out *= np.take(tables[i][rows], idx[:, i], axis=1)
+def _fill(levels, rows, out):
+    """Fill the block out = D[rows] with prefix products: level 0 gathers
+    whole table rows over the block, and each later level gathers its own
+    and multiplies them onto the rows of its parents.  The 1-d factors meet
+    in coordinate order, as in eval_tensor, so every entry keeps its bits."""
+    (_, value, table), *rest = levels
+    P = np.take(table[:, rows], value, axis=0)
+    for parent, value, table in rest:
+        P = np.take(P, parent, axis=0)
+        P *= np.take(table[:, rows], value, axis=0)
+    out[...] = P.T
 
 
 def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
@@ -179,12 +212,17 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     Columns follow the rows of `as_indices(index_set)` (an IndexSet, a
     sequence of multi-index tuples, or an (N, d) int array).  Each entry
     equals eval_tensor(spec, n_j, y_i) to the last bit: the same 1-d values
-    are multiplied in the same coordinate order.
+    are multiplied in the same coordinate order.  Raises ValueError, before
+    anything large is built, when the 8*m*N bytes of D exceed the machine's
+    physical memory.
     """
-    idx, tables = _prepare(spec, index_set, pts)
-    D = np.empty((tables[0].shape[0], idx.shape[0]))
-    for rows in _row_blocks(D.shape[0]):
-        _gather(idx, tables, rows, D[rows])
+    idx, arr = _prepare(index_set, pts)
+    m, N = arr.shape[0], idx.shape[0]
+    check_memory(f"the {m} x {N} design matrix", 8 * m * N)
+    levels = _levels(spec, idx, arr)
+    D = np.empty((m, N))
+    for rows in _row_blocks(m, N):
+        _fill(levels, rows, D[rows])
     return D
 
 
@@ -192,19 +230,24 @@ def evaluate_expansion(spec: BasisSpec, index_set, pts, coeffs) -> np.ndarray:
     """Values sum_j coeffs[j] Phi_{n_j}(y_i) at every point, as an (m,) array.
 
     Equal to basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one
-    BLAS thread (see _row_blocks), but D is never formed: each block of rows is gathered into one reusable buffer of
-    _BLOCK + 1 rows and multiplied by coeffs straight into the output.  Memory
-    is O(_BLOCK * N + d * (qmax+1) * m) instead of the m * N of D.  coeffs
-    must hold one value per index.
+    BLAS thread (see _row_blocks), but D is never formed: each block of rows
+    is built into one reusable buffer and multiplied by coeffs straight into
+    the output.  Memory is the d*(qmax+1)*m floats of the 1-d tables plus a
+    few temporaries of about _BLOCK_ENTRIES floats each, instead of the m*N
+    of D.  coeffs must hold one finite value per index; otherwise ValueError.
     """
-    idx, tables = _prepare(spec, index_set, pts)
+    idx, arr = _prepare(index_set, pts)
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (idx.shape[0],):
         raise ValueError(f"coeffs has shape {c.shape}; expected ({idx.shape[0]},)")
-    out = np.empty(tables[0].shape[0])
-    buf = np.empty((_BLOCK + 1, idx.shape[0]))
-    for rows in _row_blocks(out.shape[0]):
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coeffs must be finite")
+    levels = _levels(spec, idx, arr)
+    out = np.empty(arr.shape[0])
+    blocks = _row_blocks(arr.shape[0], idx.shape[0])
+    buf = np.empty((max(b.stop - b.start for b in blocks), idx.shape[0]))
+    for rows in blocks:
         block = buf[:rows.stop - rows.start]
-        _gather(idx, tables, rows, block)
+        _fill(levels, rows, block)
         np.matmul(block, c, out=out[rows])
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,27 @@ def test_weil_sum_bound_random_vectors():
             coeffs[0] = 1
         s = weil_exponential_sum(coeffs, M)
         assert abs(s) <= (deg - 1) * math.sqrt(M) + 1e-9
+
+
+def test_weil_sum_refuses_arrays_larger_than_physical_memory(monkeypatch):
+    # 48*M bytes, the traced peak: 4848 for M = 101, against stand-in memory
+    # sizes just above and just below
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 48 * 101)
+    assert abs(weil_exponential_sum([1, 1], 101)) <= math.sqrt(101) + 1e-9
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 48 * 101 - 1)
+    with pytest.raises(ValueError, match="M=101 needs .* physical memory"):
+        weil_exponential_sum([1, 1], 101)
+
+
+def test_weil_sum_peak_memory_is_48_bytes_per_term():
+    M = 100003
+    tracemalloc.start()
+    try:
+        weil_exponential_sum([1, 2, 3], M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 40 * M < peak <= 48 * M + 4096
 
 
 def test_weil_sum_rejects_degenerate_input():

@@ -12,11 +12,12 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from weilfit.indexsets import build_index_set
-from weilfit.lstsq import ConditionReport, FitResult, evaluate_fit
+from weilfit.lstsq import ConditionReport, FitResult, evaluate_fit, solve
 from weilfit.pointgen import weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
-                               LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
-                               eval_1d, eval_tensor, evaluate_expansion)
+                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, BasisSpec,
+                               basis_matrix, eval_1d, eval_tensor,
+                               evaluate_expansion)
 
 
 def test_basis_spec_validation():
@@ -159,35 +160,63 @@ def _points(seed, m, d):
     return pts
 
 
-# basis_matrix fills D in blocks of 256 rows; m runs to three blocks plus
-# one so that block edges are crossed.
+def _block_rows(N):
+    # the documented block rule: about _BLOCK_ENTRIES // N rows, a multiple
+    # of 4 and at least 4
+    return max(4, _BLOCK_ENTRIES // N // 4 * 4)
+
+
+@st.composite
+def index_arrays(draw):
+    """(N, d) index arrays: TD and TP sets as built, the same with rows
+    shuffled or repeated or one coordinate spread out with gaps, and
+    arbitrary entries.  d = 1 and q = 0 are included."""
+    d, q = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    form = draw(st.sampled_from(["TD", "TP", "shuffled", "repeated", "gaps",
+                                 "arbitrary"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if form == "arbitrary":
+        return rng.integers(0, q + 1, (draw(st.integers(1, 40)), d))
+    idx = build_index_set("TP" if form == "TP" else "TD", q, d).array.copy()
+    if form == "shuffled":
+        rng.shuffle(idx)
+    elif form == "repeated":
+        idx = idx[rng.integers(0, len(idx), 2 * len(idx))]
+    elif form == "gaps":
+        idx[:, rng.integers(d)] *= 3
+    return idx
+
+
+def _rows_at_block_edges(data, N, small):
+    """m = k * size(N) + r for r = 0, 1 (the lone last row merged into the
+    block before it) and 2, or a small m."""
+    size = _block_rows(N)
+    return data.draw(st.one_of(
+        st.integers(1, small),
+        st.builds(lambda k, r: k * size + r, st.integers(1, 3), st.integers(0, 2))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(spec=st.sampled_from(SPECS), kind=st.sampled_from(["TD", "TP"]),
-       d=st.integers(1, 4), q=st.integers(0, 8),
-       m=st.one_of(st.integers(1, 3 * 256 + 1),
-                   st.sampled_from([255, 256, 257, 512, 513, 768, 769])),
+@given(spec=st.sampled_from(SPECS), idx=index_arrays(), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
-def test_basis_matrix_is_bit_identical_to_eval_tensor(spec, kind, d, q, m, seed):
-    idx = build_index_set(kind, q, d)
-    pts = _points(seed, m, d)
+def test_basis_matrix_is_bit_identical_to_eval_tensor(spec, idx, data, seed):
+    m = _rows_at_block_edges(data, len(idx), 9)
+    pts = _points(seed, m, idx.shape[1])
     D = basis_matrix(spec, idx, pts)
     assert D.flags.c_contiguous
     assert np.array_equal(D, np.column_stack([eval_tensor(spec, n, pts) for n in idx]))
 
 
-# m at block edges: evaluate_expansion merges a lone last row (m = 257, 513,
-# 769) into the block before it.  Products stay at or below 2**18 entries:
-# OpenBLAS runs such a matrix-vector product on one thread whatever its thread
-# count, while a larger one may be split across threads and get other bits.
+# Products stay at or below 2**18 entries: OpenBLAS runs such a
+# matrix-vector product on one thread whatever its thread count, while a
+# larger one may be split across threads and get other bits.
 @settings(max_examples=80, deadline=None)
-@given(spec=st.sampled_from(SPECS), kind=st.sampled_from(["TD", "TP"]),
-       d=st.integers(1, 4), q=st.integers(0, 6),
-       m=st.sampled_from([1, 2, 3, 255, 256, 257, 511, 512, 513, 769]),
+@given(spec=st.sampled_from(SPECS), idx=index_arrays(), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
-def test_streamed_evaluation_is_bit_identical_to_full_product(spec, kind, d, q, m, seed):
-    idx = build_index_set(kind, q, d)
+def test_streamed_evaluation_is_bit_identical_to_full_product(spec, idx, data, seed):
+    m = _rows_at_block_edges(data, len(idx), 3)
     assume(m * len(idx) <= 2**18)
-    pts = _points(seed, m, d)
+    pts = _points(seed, m, idx.shape[1])
     c = np.random.default_rng(seed).standard_normal(len(idx))
     want = basis_matrix(spec, idx, pts) @ c
     assert np.array_equal(evaluate_expansion(spec, idx, pts, c), want)
@@ -196,14 +225,17 @@ def test_streamed_evaluation_is_bit_identical_to_full_product(spec, kind, d, q, 
 
 
 def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
-    # a product big enough to be split across threads when more are allowed;
-    # at one BLAS thread the study CSVs are reproducible and so must the bits be
+    # a product big enough to be split across threads when more are allowed,
+    # ending in a lone row; at one BLAS thread the study CSVs are
+    # reproducible and so must the bits be
+    m = 30 * _block_rows(455) + 1
     script = (
         "import numpy as np\n"
         "from weilfit import LEGENDRE_ORTHONORMAL as S, basis_matrix, build_index_set\n"
         "from weilfit.polybasis import evaluate_expansion\n"
         "idx = build_index_set('TD', 12, 3)\n"
-        "pts = np.random.default_rng(5).uniform(-1, 1, (8 * 256 + 1, 3))\n"
+        "assert len(idx) == 455\n"
+        f"pts = np.random.default_rng(5).uniform(-1, 1, ({m}, 3))\n"
         "c = np.random.default_rng(6).standard_normal(len(idx))\n"
         "assert np.array_equal(evaluate_expansion(S, idx, pts, c),\n"
         "                      basis_matrix(S, idx, pts) @ c)\n"
@@ -218,9 +250,12 @@ def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
 
 
 def test_streamed_evaluation_never_holds_the_design_matrix():
-    # the conv-eval test side: 50000 points, TD q=12 in d=3 (N = 455)
-    idx = build_index_set("TD", 12, 3)
-    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (50000, 3))
+    # the conv-eval test side: 50000 points, TD q=12 in d=3 (N = 455).  The
+    # bound is the 1-d tables, the output and a few block-sized temporaries;
+    # one prefix level built over all m points at once would exceed it.
+    m, d, q = 50000, 3, 12
+    idx = build_index_set("TD", q, d)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (m, d))
     c = np.ones(len(idx))
     tracemalloc.start()
     try:
@@ -229,7 +264,7 @@ def test_streamed_evaluation_never_holds_the_design_matrix():
     finally:
         tracemalloc.stop()
     assert len(idx) == 455
-    assert peak < 50000 * 455 * 8 / 4
+    assert peak < 8 * (d * (q + 1) * m + m + 6 * _BLOCK_ENTRIES)
 
 
 def test_evaluate_expansion_checks_coefficient_shape():
@@ -238,6 +273,28 @@ def test_evaluate_expansion_checks_coefficient_shape():
     for c in (np.ones(len(idx) + 1), np.ones((len(idx), 1))):
         with pytest.raises(ValueError, match="coeffs has shape"):
             evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, pts, c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_expansion_rejects_non_finite_coefficients(bad):
+    idx = build_index_set("TD", 2, 2)
+    c = np.ones(len(idx))
+    c[3] = bad
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, np.zeros((3, 2)), c)
+
+
+def test_basis_matrix_larger_than_physical_memory_raises(monkeypatch):
+    # 8*m*N bytes: 4800 for 100 points and TD(2, 2), N = 6, against stand-in
+    # memory sizes just above and just below
+    idx, pts = build_index_set("TD", 2, 2), np.zeros((100, 2))
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 4800)
+    assert basis_matrix(CHEBYSHEV_CLASSICAL, idx, pts).shape == (100, 6)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 4799)
+    with pytest.raises(ValueError, match="100 x 6 design matrix needs .* physical memory"):
+        basis_matrix(CHEBYSHEV_CLASSICAL, idx, pts)
+    with pytest.raises(ValueError, match="physical memory"):
+        solve(pts, np.zeros(100), idx, CHEBYSHEV_CLASSICAL)
 
 
 def _legendre_restarted(y, n):
