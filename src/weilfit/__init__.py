@@ -17,7 +17,8 @@ from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
                        weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                         LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
-                        eval_1d, eval_tensor, evaluate_expansion)
+                        eval_1d, eval_tensor, evaluate_expansion,
+                        evaluate_expansions)
 from .lstsq import (ConditionReport, FitResult, SingularSystemError,
                     UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
                     evaluate_fit, gram, solve)
@@ -36,7 +37,7 @@ __all__ = [
     "weil_exponential_sum", "weil_grid",
     "BasisSpec", "CHEBYSHEV_CLASSICAL", "CHEBYSHEV_ORTHONORMAL",
     "LEGENDRE_ORTHONORMAL", "basis_matrix", "eval_1d", "eval_tensor",
-    "evaluate_expansion",
+    "evaluate_expansion", "evaluate_expansions",
     "ConditionReport", "FitResult", "SingularSystemError", "UNIT_WEIGHTS",
     "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
     "solve",

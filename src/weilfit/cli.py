@@ -51,10 +51,10 @@ def _study_row(q, N, m, M, val):
     return [q, N, m, M, repr(float(val)) if np.isfinite(val) else "inf"]
 
 
-def _write_study(args, cfg, colname, value, comments=()):
+def _write_study(args, cfg, colname, value, score=None, comments=()):
     """Run the study, then write its CSV: the config echo, `comments`, one
     `# rep` line per repetition when there are several, and the rows."""
-    rows, reps = study.run(cfg, value)
+    rows, reps = study.run(cfg, value, score)
     lines = cfg.echo_lines() + list(comments)
     if cfg.repetitions > 1:
         lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
@@ -160,14 +160,16 @@ def cmd_conv_study(args) -> int:
     coeffs = cfg.target_coeffs()
     f = targets.make(cfg.target, coeffs)
 
-    def l2_error(pts, index_set):
+    def fit(pts, index_set):
         try:
-            fit = solve(pts, f(pts), index_set, spec, scheme)
+            return solve(pts, f(pts), index_set, spec, scheme)
         except SingularSystemError:
-            return float("inf")
-        return diagnostics.l2_error(fit, f, cfg.n_test, seed=cfg.seed).l2_error
+            return None  # scores inf
 
-    return _write_study(args, cfg, "l2_error", l2_error,
+    def l2_errors(fits):
+        return diagnostics.l2_error(fits, f, cfg.n_test, seed=cfg.seed).l2_error
+
+    return _write_study(args, cfg, "l2_error", fit, l2_errors,
                         ["target_coeffs=" + ",".join(repr(float(v)) for v in coeffs)])
 
 

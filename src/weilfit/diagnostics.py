@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import as_indices
-from .lstsq import UNIT_WEIGHTS, FitResult, evaluate_fit, gram
-from .pointgen import mc_sample, weil_grid
-from .polybasis import CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix
+from .lstsq import UNIT_WEIGHTS, FitResult, gram
+from .pointgen import check_memory, mc_sample, weil_grid
+from .polybasis import (CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix,
+                        evaluate_expansions)
 
 # Floating-point slack on the analytic bounds.
 FP_TOL = 1e-9
@@ -161,7 +162,9 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
 
     `level` is the number of 1-d quadrature nodes per coordinate and must be
     at least q+1 (q = largest index component) so products of two basis
-    polynomials are integrated exactly.
+    polynomials are integrated exactly.  When the 2*8*d*level^d bytes of the
+    nodes (the grids and their columns) exceed the machine's physical
+    memory, ValueError is raised before they are built.
     """
     idx = as_indices(index_set)
     d = idx.shape[1]
@@ -170,6 +173,7 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
         raise ValueError(
             f"quadrature level {level} too small for order {q}; need >= {q + 1}"
         )
+    check_memory(f"the {level}^{d} quadrature nodes", 2 * 8 * d * level ** d)
     nodes, weights = _quad_rule_1d(basis.family, level)
     grids = np.meshgrid(*([nodes] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
@@ -187,22 +191,61 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Discrete L2 error of a fit on a seeded uniform test sample."""
+    """Discrete L2 error of one fit (a float) or of a sequence of fits (a
+    tuple of floats) on a seeded uniform test sample of n_test points."""
 
-    l2_error: float
+    l2_error: float | tuple
     n_test: int
 
 
-def l2_error(fit: FitResult, target, n_test: int = 2000, seed: int = 0) -> ErrorReport:
+def l2_error(fit, target, n_test: int = 2000, seed: int = 0) -> ErrorReport:
     """Root-mean-square error sqrt(sum_i (f - fit)^2 / n_test) on n_test
     uniform test points in [-1,1]^d drawn with the given seed.
 
-    The fit is evaluated by evaluate_fit, which streams the test points in
-    row blocks: memory is the d*(q+1)*n_test floats of the 1-d tables, with
-    q the largest index component, plus a few block temporaries of about
-    32768 floats each, not the n_test*N of the test design matrix.
+    `fit` is one FitResult, whose error is a float, or a sequence of them,
+    whose errors are a tuple of floats in order; a None entry (a singular
+    fit) scores inf.  The test sample is drawn and the target evaluated once
+    for the whole sequence, and polybasis.evaluate_expansions scores every
+    fit in one streamed pass: the fits must share one basis, and the largest
+    index set must contain every other (ValueError otherwise).  Each error
+    has the bits a call with that fit alone gives.
+
+    Memory is the test points, the target values, the d*(q+1)*n_test floats
+    of the 1-d tables (q the largest index component) and at most
+    d*(q+1) value vectors of n_test floats, plus a few block temporaries of
+    about 32768 floats each, never an n_test*N test design matrix.  When
+    that exceeds the machine's physical memory, ValueError is raised before
+    the sample is drawn.
     """
-    d = as_indices(fit.index_set).shape[1]
+    if isinstance(fit, FitResult):
+        return ErrorReport(_errors([fit], target, n_test, seed)[0], n_test)
+    fits = list(fit)
+    errors = iter(_errors([f for f in fits if f is not None], target, n_test, seed))
+    return ErrorReport(tuple(math.inf if f is None else next(errors) for f in fits),
+                       n_test)
+
+
+def _errors(fits, target, n_test, seed):
+    """The error of each fit, from one test sample and one pass."""
+    if not fits:
+        return []
+    basis = fits[0].basis
+    if any(f.basis != basis for f in fits):
+        raise ValueError("the fits must share one basis")
+    union = max((as_indices(f.index_set) for f in fits), key=len)
+    d, q = union.shape[1], int(union.max())
+    # the points, the 1-d tables, the held value vectors and the target
+    # values; tracemalloc puts the pass's peak a few 256 KiB blocks above
+    held = min(len(fits), d * (q + 1))
+    check_memory(f"the error pass over {n_test} test points",
+                 8 * n_test * (d * (q + 2) + held + 1))
     test = mc_sample("uniform", n_test, d, seed)
-    resid = np.asarray(target(test.points), dtype=float) - evaluate_fit(fit, test)
-    return ErrorReport(float(np.sqrt(np.mean(resid * resid))), n_test)
+    fvals = np.asarray(target(test.points), dtype=float)
+    errors = []
+    for values in evaluate_expansions(basis, [f.index_set for f in fits], test,
+                                      [f.coefficients for f in fits]):
+        np.subtract(fvals, values, out=values)  # the residual, in place
+        values *= values
+        errors.append(float(np.sqrt(np.mean(values))))
+        del values  # so a new pass never meets the last vector of the old one
+    return errors

@@ -182,7 +182,9 @@ def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
     Streams the points through `evaluate_expansion` in row blocks of about
     32768 entries of the design matrix, which is never held whole; at one
     BLAS thread the values equal basis_matrix(...) @ fit.coefficients bit for
-    bit.  Non-finite coefficients raise ValueError.
+    bit.  Non-finite coefficients raise ValueError.  To score several fits
+    on one test sample, diagnostics.l2_error takes a sequence of fits and
+    evaluates them all in one pass (polybasis.evaluate_expansions).
     """
     return evaluate_expansion(fit.basis, fit.index_set, pts, fit.coefficients)
 

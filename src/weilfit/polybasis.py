@@ -16,8 +16,9 @@ one block of about _BLOCK_ENTRIES entries at a time: it gathers whole table
 rows and shares the products of index prefixes between the columns that
 have them, multiplying the 1-d factors in coordinate order, so D equals
 eval_tensor column by column to the last bit.  basis_matrix writes the blocks
-into D; evaluate_expansion multiplies each block by the coefficients at once,
-so D @ c comes out without D ever being held whole.
+into D; evaluate_expansions multiplies each block by the coefficients of
+every expansion it is given at once, so each D @ c comes out without D ever
+being held whole.
 """
 
 from __future__ import annotations
@@ -84,8 +85,13 @@ def _tables(spec, y, qmax):
     table[0] = 1.0
     if qmax >= 1:
         table[1] = y
+    term = np.empty(y.shape[0]) if qmax >= 2 else None
     for k in range(1, qmax):
-        table[k + 1] = ((2 * k + 1) * y * table[k] - k * table[k - 1]) / (k + 1)
+        row = table[k + 1]  # ((2k+1) * y * P_k - k * P_{k-1}) / (k+1), in place
+        np.multiply(y, 2 * k + 1, out=row)
+        row *= table[k]
+        row -= np.multiply(table[k - 1], k, out=term)
+        row /= k + 1
     table *= np.sqrt(2.0 * n + 1.0)[:, None]
     return table
 
@@ -137,17 +143,15 @@ def eval_tensor(spec: BasisSpec, n, y):
 _BLOCK_ENTRIES = 32768
 
 
-def _prepare(index_set, pts):
-    """Validated (N, d) index array and (m, d) point array."""
-    idx = as_indices(index_set)
+def _points(pts, d):
+    """Validated (m, d) point array for indices of dimension d."""
     arr = point_array(pts)
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
-    d = idx.shape[1]
     if arr.shape[1] != d:
         raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
     check_domain(arr)
-    return idx, arr
+    return arr
 
 
 def _levels(spec, idx, arr):
@@ -216,7 +220,8 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     anything large is built, when the 8*m*N bytes of D exceed the machine's
     physical memory.
     """
-    idx, arr = _prepare(index_set, pts)
+    idx = as_indices(index_set)
+    arr = _points(pts, idx.shape[1])
     m, N = arr.shape[0], idx.shape[0]
     check_memory(f"the {m} x {N} design matrix", 8 * m * N)
     levels = _levels(spec, idx, arr)
@@ -226,28 +231,113 @@ def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
     return D
 
 
+def _columns(union, idx):
+    """Where the basis functions of idx sit among the union's: a slice when
+    idx is the union's leading rows (a TD set inside a larger TD set), else
+    an int array.  ValueError when the union lacks an index of idx."""
+    n = idx.shape[0]
+    if np.array_equal(union[:n], idx):
+        return slice(0, n)
+    if idx.shape[1] != union.shape[1]:
+        raise ValueError(f"index dimension {idx.shape[1]} != {union.shape[1]}")
+    keys, inverse = np.unique(np.concatenate([union, idx]), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    column = np.full(keys.shape[0], -1)
+    column[inverse[:union.shape[0]]] = np.arange(union.shape[0])
+    cols = column[inverse[union.shape[0]:]]
+    if np.any(cols < 0):
+        missing = tuple(idx[np.argmax(cols < 0)].tolist())
+        raise ValueError(f"index {missing} is not in the largest index set, "
+                         f"which must contain every other")
+    return cols
+
+
+def _coefficients(coeffs, N):
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape != (N,):
+        raise ValueError(f"coeffs has shape {c.shape}; expected ({N},)")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coeffs must be finite")
+    return c
+
+
+def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
+    """Iterator over the values sum_j c_j Phi_{n_j}(y_i) of several
+    expansions at the same points, one (m,) array per (index set, coeffs)
+    pair, in order.
+
+    The largest index set (the first of the most rows) is the union, and
+    must contain every other; otherwise ValueError.  One pass builds the 1-d
+    tables at the union's largest order once, fills each row block of the
+    union's design once (see _row_blocks) and multiplies it by every
+    expansion's coefficients: through a view of the leading columns when the
+    expansion's indices are the union's leading rows (nested TD sets), else
+    through a gathered copy of its columns.  So each array equals
+    basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one BLAS
+    thread, and no design matrix is ever held whole.
+
+    A pass holds at most d*(qmax+1) value arrays, as many as the tables
+    have rows, so more expansions take more passes over the points and
+    memory stays a small multiple of the tables.  Each array is handed over
+    as it is yielded; the iterator keeps no reference to it.  Every input is
+    validated before the iterator is returned: coeffs must hold one finite
+    value per index of its set.
+    """
+    idxs = [as_indices(index_set) for index_set in index_sets]
+    coeffs = list(coeffs)
+    if not idxs or len(coeffs) != len(idxs):
+        raise ValueError(f"{len(idxs)} index sets and {len(coeffs)} coefficient "
+                         f"vectors; expected the same positive number")
+    union = max(idxs, key=len)
+    arr = _points(pts, union.shape[1])
+    columns = [_columns(union, idx) for idx in idxs]
+    cs = [_coefficients(c, idx.shape[0]) for c, idx in zip(coeffs, idxs)]
+    held = union.shape[1] * (int(union.max()) + 1)
+    return _passes(_levels(spec, union, arr), arr.shape[0], union.shape[0],
+                   list(zip(columns, cs)), held)
+
+
+def _passes(levels, m, N, expansions, held):
+    """Yield the values of `expansions` ((cols, c) pairs), `held` per pass."""
+    blocks = _row_blocks(m, N)
+    size = max(b.stop - b.start for b in blocks)
+    buf = np.empty((size, N))
+    gathered = max((c.shape[0] for cols, c in expansions
+                    if not isinstance(cols, slice)), default=0)
+    gather_buf = np.empty(size * gathered)
+    for first in range(0, len(expansions), held):
+        outs = _pass(levels, blocks, buf, gather_buf, expansions[first:first + held], m)
+        outs.reverse()
+        while outs:
+            yield outs.pop()
+
+
+def _pass(levels, blocks, buf, gather_buf, group, m):
+    """One pass over the row blocks: the values of each expansion of group."""
+    outs = [np.empty(m) for _ in group]
+    for rows in blocks:
+        block = buf[:rows.stop - rows.start]
+        _fill(levels, rows, block)
+        for (cols, c), out in zip(group, outs):
+            if isinstance(cols, slice):
+                part = block[:, cols]
+            else:
+                part = gather_buf[:block.shape[0] * c.shape[0]].reshape(-1, c.shape[0])
+                np.take(block, cols, axis=1, out=part, mode="clip")
+            np.matmul(part, c, out=out[rows])
+    return outs
+
+
 def evaluate_expansion(spec: BasisSpec, index_set, pts, coeffs) -> np.ndarray:
     """Values sum_j coeffs[j] Phi_{n_j}(y_i) at every point, as an (m,) array.
 
-    Equal to basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one
-    BLAS thread (see _row_blocks), but D is never formed: each block of rows
-    is built into one reusable buffer and multiplied by coeffs straight into
+    The one-expansion case of evaluate_expansions: equal to
+    basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one BLAS
+    thread (see _row_blocks), but D is never formed: each block of rows is
+    built into one reusable buffer and multiplied by coeffs straight into
     the output.  Memory is the d*(qmax+1)*m floats of the 1-d tables plus a
     few temporaries of about _BLOCK_ENTRIES floats each, instead of the m*N
     of D.  coeffs must hold one finite value per index; otherwise ValueError.
     """
-    idx, arr = _prepare(index_set, pts)
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (idx.shape[0],):
-        raise ValueError(f"coeffs has shape {c.shape}; expected ({idx.shape[0]},)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coeffs must be finite")
-    levels = _levels(spec, idx, arr)
-    out = np.empty(arr.shape[0])
-    blocks = _row_blocks(arr.shape[0], idx.shape[0])
-    buf = np.empty((max(b.stop - b.start for b in blocks), idx.shape[0]))
-    for rows in blocks:
-        block = buf[:rows.stop - rows.start]
-        _fill(levels, rows, block)
-        np.matmul(block, c, out=out[rows])
-    return out
+    (values,) = evaluate_expansions(spec, [index_set], pts, [coeffs])
+    return values

@@ -4,11 +4,11 @@ A study sweeps the order q from q_min to q_max.  Each q is one cell: its
 index set fixes N, the scaling rule fixes the point count m and the prime
 modulus M (`realize_cell`), and the cell's points come from the Weil grid or
 a Monte Carlo sampler (`cell_points`).  `run` evaluates one per-cell value
-(a condition number, an error) in deterministic (q, repetition) order and
-averages the repetitions.  Monte Carlo cells draw their points from PCG64
-seeded with SeedSequence([seed, q, rep]); weil grids force repetitions=1.  A
-cell with fewer points than basis functions (m < N) records inf without
-being evaluated.
+(a condition number, or a fit that is scored after the loop) in
+deterministic (q, repetition) order and averages the repetitions.  Monte
+Carlo cells draw their points from PCG64 seeded with SeedSequence([seed, q,
+rep]); weil grids force repetitions=1.  A cell with fewer points than basis
+functions (m < N) records inf without being evaluated.
 """
 
 from __future__ import annotations
@@ -100,7 +100,10 @@ class StudyConfig:
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value config file ('#' starts a comment)."""
+    """Parse a flat key=value config file ('#' starts a comment).
+
+    A malformed line, an unknown key or a value that does not parse as its
+    field's type raises ValueError naming the file and line."""
     known = {f.name: f.type for f in fields(StudyConfig)}
     typemap = {"int": int, "float": float}  # field annotations are strings
     values = {}
@@ -114,7 +117,12 @@ def load_config(path) -> dict:
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = typemap.get(known[key], str)(val)
+            kind = typemap.get(known[key], str)
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {known[key]}, "
+                                 f"got {val!r}") from None
     return values
 
 
@@ -168,26 +176,36 @@ def cell_points(cfg: StudyConfig, q: int, m: int, M: int, rep: int):
     return mc_sample(measure, m, cfg.d, seed)
 
 
-def run(cfg: StudyConfig, value):
-    """Evaluate value(points, index_set) -> float on every (q, rep) cell.
+def run(cfg: StudyConfig, value, score=None):
+    """Evaluate value(points, index_set) on every (q, rep) cell.
 
     Returns (rows, reps): one (q, N, m, M, mean over repetitions) row per
     order and one (q, rep, value) entry per repetition, both in (q, rep)
-    order.  Before the first repetition of an evaluated cell, a design (and
-    the copy the SVD makes of it, 2*8*m*N bytes) larger than physical memory
-    raises ValueError.
+    order.  A cell with m < N records inf and is never evaluated.  With
+    `score`, a cell's value need not be a float: after the loop,
+    score(values) turns the list of every evaluated cell's value into one
+    float each, in (q, rep) order (conv-study fits each cell in the loop
+    and scores all the fits on one test sample).  Before the first
+    repetition of an evaluated cell, a design (and the copy the SVD makes of
+    it, 2*8*m*N bytes) larger than physical memory raises ValueError.
     """
-    rows, reps = [], []
+    cells, vals, evaluated = [], [], []
     for q in range(cfg.q_min, cfg.q_max + 1):
         index_set, N, m, M = realize_cell(cfg, q)
-        if m >= N:
-            check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
-        vals = []
+        cells.append((q, N, m, M))
+        if m < N:
+            vals += [math.inf] * cfg.repetitions
+            continue
+        check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
         for rep in range(cfg.repetitions):
-            if m < N:
-                vals.append(math.inf)
-            else:
-                vals.append(value(cell_points(cfg, q, m, M, rep), index_set))
-            reps.append((q, rep, vals[-1]))
-        rows.append((q, N, m, M, float(np.mean(vals))))
+            evaluated.append(len(vals))
+            vals.append(value(cell_points(cfg, q, m, M, rep), index_set))
+    if score is not None:
+        for i, v in zip(evaluated, score([vals[i] for i in evaluated])):
+            vals[i] = v
+    R = cfg.repetitions
+    rows = [cell + (float(np.mean(vals[k * R:(k + 1) * R])),)
+            for k, cell in enumerate(cells)]
+    reps = [(cell[0], rep, vals[k * R + rep])
+            for k, cell in enumerate(cells) for rep in range(R)]
     return rows, reps

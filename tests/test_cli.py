@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weilfit.cli import main, parse_boxes
-from weilfit.diagnostics import check_gram_bounds
+from weilfit.cli import build_parser, main, parse_boxes
+from weilfit.diagnostics import check_gram_bounds, l2_error
 from weilfit.indexsets import build_index_set
+from weilfit.lstsq import solve
 from weilfit.pointgen import is_prime, weil_grid
-from weilfit.study import (StudyConfig, _round_half_up, load_config,
+from weilfit.study import (StudyConfig, _round_half_up, cell_points, load_config,
                            realize_cell, resolve_config)
+from weilfit.targets import make
 
 
 # ---------------------------------------------------------------------------
@@ -448,3 +450,71 @@ def test_unknown_config_key_through_main_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_value_that_does_not_parse_names_file_and_line(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("# a study\nd=2\nrepetitions=abc\n")
+    with pytest.raises(ValueError, match=r"c\.cfg:3: repetitions must be int, got 'abc'"):
+        load_config(cfgfile)
+    out = tmp_path / "o.csv"
+    rc = main(["conv-study", "--config", str(cfgfile), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{cfgfile}:3: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "TD", "--d", "2", "--q-max", "5", "--family", "legendre",
+     "--weights", "density_ratio"],
+    ["--space", "TP", "--d", "2", "--q-max", "4", "--c", "0.5"],
+    # q = 1 has m < N; three repetitions of the others
+    ["--space", "TD", "--d", "2", "--q-max", "4", "--c", "0.2", "--grid", "mc_uniform",
+     "--repetitions", "3", "--seed", "7"],
+], ids=["weil-TD", "weil-TP", "mc-reps"])
+def test_conv_study_values_equal_one_l2_error_call_per_cell(tmp_path, argv):
+    out = tmp_path / "conv.csv"
+    assert main(["conv-study", "--n-test", "3000"] + argv + ["--out", str(out)]) == 0
+    cfg = resolve_config(build_parser().parse_args(
+        ["conv-study", "--n-test", "3000"] + argv + ["--out", str(out)]))
+    f = make(cfg.target, cfg.target_coeffs())
+    lines = out.read_text().splitlines()
+    rows = [r.split(",") for r in lines[lines.index("q,N,m,M,l2_error") + 1:]]
+    reps = {tuple(int(t.split("=")[1]) for t in l.split()[2:4]): l.split("=")[-1]
+            for l in lines if l.startswith("# rep ")}
+    skipped = 0
+    for row, q in zip(rows, range(cfg.q_min, cfg.q_max + 1)):
+        index_set, N, m, M = realize_cell(cfg, q)
+        errs = []
+        for rep in range(cfg.repetitions):
+            if m < N:
+                errs.append(math.inf)
+                continue
+            pts = cell_points(cfg, q, m, M, rep)
+            fit = solve(pts, f(pts), index_set, cfg.basis_spec(), cfg.weight_scheme())
+            errs.append(l2_error(fit, f, cfg.n_test, cfg.seed).l2_error)
+        skipped += m < N
+        assert row[4] == (repr(float(np.mean(errs))) if m >= N else "inf")
+        if cfg.repetitions > 1:
+            assert [reps[(q, rep)] for rep in range(cfg.repetitions)] == \
+                [repr(e) for e in errs]
+    assert len(rows) == cfg.q_max - cfg.q_min + 1
+    if cfg.grid != "weil":
+        assert skipped == 1 and len(reps) == 12
+
+
+def test_error_pass_larger_than_physical_memory_exits_2_without_output(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the fits of d = 2, q <= 3 need a few KiB; the test pass over 10**7
+    # points needs 8e7 * (2*5 + 3 + 1) bytes = 1.0 GiB, refused before the
+    # sample is drawn
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**29)
+    out = tmp_path / "conv.csv"
+    rc = main(["conv-study", "--q-max", "3", "--scaling", "linear", "--c", "2",
+               "--n-test", "10000000", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the error pass over 10000000 test points needs 1.0 GiB, "
+                   "more than the 0.5 GiB of physical memory\n")
+    assert not out.exists()

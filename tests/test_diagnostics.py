@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from weilfit.indexsets import build_index_set
 from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, gram, solve
 from weilfit.pointgen import weil_grid, weil_exponential_sum
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
-                               LEGENDRE_ORTHONORMAL)
+                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES)
 from weilfit.targets import make
 
 
@@ -249,3 +250,101 @@ def test_l2_error_zero_for_in_span_target():
     g = weil_grid(67, 1)
     fit = solve(g, f(g.points), idx, CHEBYSHEV_CLASSICAL)
     assert l2_error(fit, f).l2_error < 1e-13
+
+
+def _study_fits(space, spec, grid_M=0):
+    """Fits of orders 1-5 on a weil grid or Monte Carlo points, in d = 2,
+    with a repeated order as in a Monte Carlo study."""
+    f = make("cossum", (0.6773, 0.6969))
+    fits = []
+    for q in (3, 1, 5, 2, 2, 4):
+        idx = build_index_set(space, q, 2)
+        pts = weil_grid(grid_M, 2).points if grid_M else \
+            np.random.default_rng(q).uniform(-1, 1, (4 * len(idx), 2))
+        fits.append(solve(pts, f(pts), idx, spec))
+    return fits, f
+
+
+@pytest.mark.parametrize("space, spec, M", [("TD", CHEBYSHEV_ORTHONORMAL, 499),
+                                            ("TP", LEGENDRE_ORTHONORMAL, 0),
+                                            ("TD", CHEBYSHEV_CLASSICAL, 0)])
+def test_l2_error_of_a_sequence_equals_one_call_per_fit(space, spec, M):
+    fits, f = _study_fits(space, spec, M)
+    fits.insert(2, None)  # a singular fit
+    report = l2_error(fits, f, n_test=3001, seed=4)
+    assert isinstance(report.l2_error, tuple) and report.n_test == 3001
+    want = tuple(math.inf if fit is None else l2_error(fit, f, 3001, 4).l2_error
+                 for fit in fits)
+    assert report.l2_error == want  # float for float
+    assert all(type(e) is float for e in report.l2_error)
+    assert l2_error([None, None], f, 10).l2_error == (math.inf, math.inf)
+    assert l2_error([], f, 10) == ErrorReport((), 10)
+
+
+def test_l2_error_rejects_fits_that_do_not_nest_or_share_a_basis():
+    f = make("cossum", (0.6773, 0.6969))
+    pts = weil_grid(499, 2).points
+    td = solve(pts, f(pts), build_index_set("TD", 3, 2), CHEBYSHEV_ORTHONORMAL)
+    tp = solve(pts, f(pts), build_index_set("TP", 2, 2), CHEBYSHEV_ORTHONORMAL)
+    with pytest.raises(ValueError, match=r"index \(2, 2\) is not in the largest"):
+        l2_error([td, tp], f)
+    other = solve(pts, f(pts), build_index_set("TD", 2, 2), LEGENDRE_ORTHONORMAL)
+    with pytest.raises(ValueError, match="share one basis"):
+        l2_error([td, other], f)
+
+
+def _error_pass_bytes(n_test, d, q, held):
+    # the documented size: points, 1-d tables, held value vectors and the
+    # target values
+    return 8 * n_test * (d * (q + 2) + held + 1)
+
+
+def test_l2_error_checks_memory_before_drawing_the_test_sample(monkeypatch):
+    fits, f = _study_fits("TD", CHEBYSHEV_ORTHONORMAL, 499)  # d = 2, q <= 5
+    need = _error_pass_bytes(1000, 2, 5, len(fits))
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need)
+    assert len(l2_error(fits, f, 1000).l2_error) == len(fits)
+    assert l2_error(fits[0], f, 1000).l2_error == l2_error(fits, f, 1000).l2_error[0]
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+
+    def no_draw(*args):
+        raise AssertionError("the test sample was drawn")
+
+    monkeypatch.setattr("weilfit.diagnostics.mc_sample", no_draw)
+    with pytest.raises(ValueError, match="error pass over 1000 test points needs .* "
+                                         "physical memory"):
+        l2_error(fits, f, 1000)
+
+
+def test_error_pass_memory_check_matches_its_traced_peak():
+    # twelve fits of orders up to 5 in d = 2: twelve tables rows, so all
+    # twelve value vectors are held; the check's bytes are the traced peak
+    # up to a few 256 KiB block temporaries
+    fits, f = _study_fits("TD", LEGENDRE_ORTHONORMAL, 499)
+    fits = fits + fits
+    n_test = 40000
+    tracemalloc.start()
+    try:
+        l2_error(fits, f, n_test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    need = _error_pass_bytes(n_test, 2, 5, 12)
+    assert need <= peak <= need + 6 * 8 * _BLOCK_ENTRIES
+
+
+def test_reference_projection_checks_memory_of_its_nodes(monkeypatch):
+    # 2*8*d*level^d bytes: 3 200 for level 10 in d = 2, more than the 2 400
+    # of the 100 x 3 design that basis_matrix checks next
+    f = make("expsum", (-0.2779, 0.9986))
+    idx = build_index_set("TD", 1, 2)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 3200)
+    assert reference_projection(f, idx, CHEBYSHEV_ORTHONORMAL, 10).shape == (len(idx),)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 3199)
+
+    def no_nodes(*args):
+        raise AssertionError("the nodes were built")
+
+    monkeypatch.setattr("weilfit.diagnostics._quad_rule_1d", no_nodes)
+    with pytest.raises(ValueError, match="the 10\\^2 quadrature nodes needs .* physical memory"):
+        reference_projection(f, idx, CHEBYSHEV_ORTHONORMAL, 10)

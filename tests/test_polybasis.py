@@ -17,7 +17,7 @@ from weilfit.pointgen import weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, BasisSpec,
                                basis_matrix, eval_1d, eval_tensor,
-                               evaluate_expansion)
+                               evaluate_expansion, evaluate_expansions)
 
 
 def test_basis_spec_validation():
@@ -265,6 +265,97 @@ def test_streamed_evaluation_never_holds_the_design_matrix():
         tracemalloc.stop()
     assert len(idx) == 455
     assert peak < 8 * (d * (q + 1) * m + m + 6 * _BLOCK_ENTRIES)
+
+
+@st.composite
+def nested_sets(draw):
+    """Index sets inside one largest set: TD sets in TD(qmax) (the leading
+    columns of it), or TP and TD sets in TP(qmax) (gathered columns), in
+    random order and with repeated orders, as in a Monte Carlo study."""
+    d, qmax = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["TD", "TP"]))
+    members = draw(st.lists(st.tuples(st.sampled_from(["TD", kind]),
+                                      st.integers(0, qmax)), max_size=8))
+    sets = [build_index_set(k, q, d) for k, q in members]
+    sets.insert(draw(st.integers(0, len(sets))), build_index_set(kind, qmax, d))
+    return sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(SPECS), sets=nested_sets(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_pass_is_bit_identical_to_each_full_product(spec, sets, data, seed):
+    N = max(len(s) for s in sets)
+    m = _rows_at_block_edges(data, N, 3)
+    assume(m * N <= 2**18)  # see the guard above
+    pts = _points(seed, m, sets[0].d)
+    rng = np.random.default_rng(seed)
+    cs = [rng.standard_normal(len(s)) for s in sets]
+    got = list(evaluate_expansions(spec, sets, pts, cs))
+    assert len(got) == len(sets)
+    for values, s, c in zip(got, sets, cs):
+        assert np.array_equal(values, basis_matrix(spec, s, pts) @ c)
+
+
+def test_shared_pass_matches_full_products_at_one_blas_thread():
+    # the conv-eval test side above the threading size: TD q = 1..12 in d = 3
+    # (leading columns of TD(12)) and TP q = 1..4 (gathered), ending in a
+    # lone row
+    m = 30 * _block_rows(455) + 1
+    script = (
+        "import numpy as np\n"
+        "from weilfit import LEGENDRE_ORTHONORMAL as S, basis_matrix, build_index_set\n"
+        "from weilfit.polybasis import evaluate_expansions\n"
+        "sets = [build_index_set('TD', q, 3) for q in range(1, 13)]\n"
+        "sets += [build_index_set('TP', q, 3) for q in range(1, 5)]\n"
+        f"pts = np.random.default_rng(5).uniform(-1, 1, ({m}, 3))\n"
+        "cs = [np.random.default_rng(q).standard_normal(len(s)) for q, s in enumerate(sets)]\n"
+        "got = list(evaluate_expansions(S, sets, pts, cs))\n"
+        "assert len(got) == len(sets)\n"
+        "for values, s, c in zip(got, sets, cs):\n"
+        "    assert np.array_equal(values, basis_matrix(S, s, pts) @ c)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_shared_pass_holds_at_most_one_vector_per_table_row():
+    # 40 expansions at qmax = 6 in d = 2: 14 table rows, so at most 14 value
+    # vectors at once and three passes.  The bound is the tables plus 14
+    # vectors plus a few block-sized temporaries.
+    m, d, q = 50000, 2, 6
+    sets = [build_index_set("TD", k % (q + 1), d) for k in range(40)]
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (m, d))
+    cs = [np.ones(len(s)) for s in sets]
+    tracemalloc.start()
+    try:
+        for values in evaluate_expansions(LEGENDRE_ORTHONORMAL, sets, pts, cs):
+            del values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = d * (q + 1)
+    assert peak < 8 * (rows * m + rows * m + 6 * _BLOCK_ENTRIES)
+    assert peak > 8 * (rows * m + (rows - 1) * m)  # the vectors are held
+
+
+def test_shared_pass_rejects_sets_outside_the_largest_one():
+    pts = np.zeros((5, 2))
+    big, other = build_index_set("TD", 3, 2), build_index_set("TP", 2, 2)
+    assert len(other) < len(big)  # but (2, 2) is not in TD(3)
+    with pytest.raises(ValueError, match=r"index \(2, 2\) is not in the largest"):
+        evaluate_expansions(CHEBYSHEV_CLASSICAL, [other, big], pts,
+                            [np.ones(len(other)), np.ones(len(big))])
+    with pytest.raises(ValueError, match="index dimension"):
+        evaluate_expansions(CHEBYSHEV_CLASSICAL, [big, build_index_set("TD", 1, 3)],
+                            pts, [np.ones(len(big)), np.ones(4)])
+    with pytest.raises(ValueError, match="2 index sets and 1 coefficient"):
+        evaluate_expansions(CHEBYSHEV_CLASSICAL, [big, big], pts, [np.ones(len(big))])
 
 
 def test_evaluate_expansion_checks_coefficient_shape():

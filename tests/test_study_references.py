@@ -1,0 +1,33 @@
+"""The conv-study CSVs of the benchmark workloads, byte for byte.
+
+Runs the `conv-eval` and `conv-quad` argv of bench/spec.json at --seed 0 in a
+subprocess pinned to one BLAS thread and compares the output with the
+committed bench/reference/<workload>/seed-0.csv, so a change of one bit in a
+study CSV fails here and not only in the benchmark.  Only reads bench/.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "bench" / "spec.json").read_text())
+
+
+@pytest.mark.parametrize("workload", ["conv-eval", "conv-quad"])
+def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
+    out = tmp_path / "study.csv"
+    argv = SPEC["workloads"][workload]["argv"] + ["--seed", "0", "--out", str(out)]
+    src = str(ROOT / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "weilfit.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    reference = ROOT / "bench" / "reference" / workload / "seed-0.csv"
+    assert out.read_bytes() == reference.read_bytes()
