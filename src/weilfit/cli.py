@@ -76,6 +76,7 @@ def cmd_points(args) -> int:
 
 
 def _read_points_csv(path):
+    """Rows j,y1,...,yd; the `j,...` header or else the first row fixes d."""
     rows = []
     d = None
     with open(path) as fh:
@@ -84,15 +85,16 @@ def _read_points_csv(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if parts[0] == "j":
+            if d is None:
                 d = len(parts) - 1
+            elif len(parts) - 1 != d:
+                raise ValueError(f"{path}:{lineno}: expected {d} coordinates")
+            if parts[0] == "j":
                 continue
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed point row {raw.strip()!r}")
-            if d is not None and len(rows[-1]) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} coordinates")
     if not rows:
         raise ValueError(f"{path}: no point rows found")
     return np.asarray(rows)

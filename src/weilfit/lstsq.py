@@ -10,13 +10,15 @@ stability studies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .indexsets import as_indices
-from .pointgen import point_array
+from .pointgen import check_memory, point_array
 from .polybasis import BasisSpec, basis_matrix, check_domain, evaluate_expansion
 
 WEIGHT_KINDS = ("unit", "density_ratio")
@@ -102,9 +104,10 @@ def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
     return (math.pi / 2.0) ** d * np.prod(np.sqrt(1.0 - arr * arr), axis=1)
 
 
-def _scaled_design(pts, index_set, basis, weights):
-    """(w, diag(sqrt(w)) D), scaled in place so D is never held twice."""
-    Dw = basis_matrix(basis, index_set, pts)
+def _scaled_design(pts, index_set, basis, weights, order="C"):
+    """(w, diag(sqrt(w)) D), with D built by basis_matrix in the memory
+    `order` ("C" or "F") and scaled in place, so D is never held twice."""
+    Dw = basis_matrix(basis, index_set, pts, order)
     w = compute_weights(weights, pts)
     Dw *= np.sqrt(w)[:, None]
     return w, Dw
@@ -117,16 +120,61 @@ def _condition_report(s, N) -> ConditionReport:
     return ConditionReport(cond_D, cond_D * cond_D)
 
 
+@functools.lru_cache(maxsize=32)
+def _strict_lower(N):
+    """Read-only mask of the strict lower triangle of an N x N matrix.
+
+    Cached because building it costs about as much as zeroing through it,
+    and a Monte Carlo study factors hundreds of designs of each N."""
+    mask = np.tri(N, N, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _singular_values(Dw):
+    """Singular values of the column-major m x N matrix Dw, equal bit for bit
+    to np.linalg.svd(Dw, compute_uv=False); Dw is overwritten.
+
+    np.linalg.svd copies its input into a column-major LAPACK buffer and
+    calls dgesdd.  For m >= floor(11 N / 6) (dgesdd's MNTHR) dgesdd takes
+    the singular values in two steps: a QR factorization of A (dgeqrf), then
+    the SVD of the N x N triangular factor R.  Here those two steps run on
+    Dw's own buffer, so the m x N matrix is never copied.  Below that
+    crossover dgesdd bidiagonalizes A directly, and a QR first would change
+    the last bits, so Dw goes to np.linalg.svd as it is.  The crossover is
+    LAPACK's rule, fixed by the shape; it is not a tuning knob.
+    """
+    m, N = Dw.shape
+    if m < N * 11 // 6:
+        return np.linalg.svd(Dw, compute_uv=False)
+    a = Dw.T  # C-contiguous (N, m): Dw in the column-major order LAPACK reads
+    tau, work = np.empty(N), np.empty(1)
+    lapack_lite.dgeqrf(m, N, a, m, tau, work, -1, 0)  # workspace query
+    work = np.empty(int(work[0]))
+    info = lapack_lite.dgeqrf(m, N, a, m, tau, work, work.size, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
+    R = Dw[:N]  # R in the upper triangle, Householder vectors below it
+    np.copyto(R, 0.0, where=_strict_lower(N))
+    return np.linalg.svd(R, compute_uv=False)
+
+
 def condition(pts, index_set, basis: BasisSpec,
               weights: WeightScheme = UNIT_WEIGHTS) -> ConditionReport:
     """cond_D and cond_A of the scaled design matrix from its singular
     values alone (U and V are never formed).
 
+    The scaled design is built column-major and, when it is tall enough
+    (m >= floor(11 N / 6)), QR-factored in place before the SVD of its
+    triangular factor (see _singular_values): the m x N matrix is held once,
+    never copied, and the singular values equal those of
+    np.linalg.svd(D * sqrt(w)[:, None], compute_uv=False) bit for bit.
+
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
-    _, Dw = _scaled_design(pts, index_set, basis, weights)
-    return _condition_report(np.linalg.svd(Dw, compute_uv=False), Dw.shape[1])
+    _, Dw = _scaled_design(pts, index_set, basis, weights, order="F")
+    return _condition_report(_singular_values(Dw), Dw.shape[1])
 
 
 def solve(pts, fvals, index_set, basis: BasisSpec,
@@ -145,23 +193,23 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
     Returns
     -------
-    FitResult.  Raises ValueError if npts < N (under-determined) or a point
-    or value is not finite, and SingularSystemError if the scaled design
-    matrix has relative singular values below 1e-12.
+    FitResult.  Raises ValueError if npts < N (under-determined), if a
+    point or value is not finite, or, before D is built, if the solve's
+    4*8*npts*N bytes exceed physical memory (D, the copy LAPACK factors, and
+    U twice: LAPACK's column-major U and its row-major copy).  Raises
+    SingularSystemError if the scaled design matrix has relative singular
+    values below 1e-12.
     """
     arr = point_array(pts)
-    N = as_indices(index_set).shape[0]
+    m, N = arr.shape[0], as_indices(index_set).shape[0]
     f = np.asarray(fvals, dtype=float).reshape(-1)
-    if f.shape[0] != arr.shape[0]:
-        raise ValueError(
-            f"got {arr.shape[0]} points but {f.shape[0]} function values"
-        )
+    if f.shape[0] != m:
+        raise ValueError(f"got {m} points but {f.shape[0]} function values")
     if not np.all(np.isfinite(f)):
         raise ValueError("function values must be finite")
-    if arr.shape[0] < N:
-        raise ValueError(
-            f"under-determined system: {arr.shape[0]} points for {N} basis functions"
-        )
+    if m < N:
+        raise ValueError(f"under-determined system: {m} points for {N} basis functions")
+    check_memory(f"the {m} x {N} least-squares solve", 4 * 8 * m * N)
     w, Dw = _scaled_design(arr, index_set, basis, weights)
     bw = f * np.sqrt(w)
     U, s, Vt = np.linalg.svd(Dw, full_matrices=False)

@@ -210,22 +210,27 @@ def _fill(levels, rows, out):
     out[...] = P.T
 
 
-def basis_matrix(spec: BasisSpec, index_set, pts) -> np.ndarray:
+def basis_matrix(spec: BasisSpec, index_set, pts, order: str = "C") -> np.ndarray:
     """Design matrix D with D[i, j] = Phi_{n_j}(y_i).
 
     Columns follow the rows of `as_indices(index_set)` (an IndexSet, a
     sequence of multi-index tuples, or an (N, d) int array).  Each entry
     equals eval_tensor(spec, n_j, y_i) to the last bit: the same 1-d values
-    are multiplied in the same coordinate order.  Raises ValueError, before
-    anything large is built, when the 8*m*N bytes of D exceed the machine's
-    physical memory.
+    are multiplied in the same coordinate order.  `order` is the memory
+    layout of D: "C" (row-major, the default) or "F" (column-major, the
+    layout LAPACK factors in place; lstsq.condition asks for it).  The
+    entries are the same in both.  Raises ValueError for another order, and,
+    before anything large is built, when the 8*m*N bytes of D exceed the
+    machine's physical memory.
     """
+    if order not in ("C", "F"):
+        raise ValueError(f"order must be 'C' or 'F', got {order!r}")
     idx = as_indices(index_set)
     arr = _points(pts, idx.shape[1])
     m, N = arr.shape[0], idx.shape[0]
     check_memory(f"the {m} x {N} design matrix", 8 * m * N)
     levels = _levels(spec, idx, arr)
-    D = np.empty((m, N))
+    D = np.empty((m, N), order=order)
     for rows in _row_blocks(m, N):
         _fill(levels, rows, D[rows])
     return D

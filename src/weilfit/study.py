@@ -20,7 +20,7 @@ import numpy as np
 
 from . import targets
 from .indexsets import KINDS, build_index_set
-from .lstsq import UNIT_WEIGHTS, WeightScheme
+from .lstsq import TARGET_DENSITIES, UNIT_WEIGHTS, WeightScheme
 from .pointgen import (MAX_MODULUS, check_memory, mc_sample, nearest_prime,
                        weil_grid)
 from .polybasis import BasisSpec
@@ -76,6 +76,21 @@ class StudyConfig:
             raise ValueError(f"coeff_seed must be >= 0 (or -1, unset), got {self.coeff_seed}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
+        # every field is checked, also those one study kind does not read
+        self.basis_spec()
+        if self.target_density not in TARGET_DENSITIES:
+            raise ValueError(f"unknown target density {self.target_density!r}")
+        self.weight_scheme()
+        if self.target not in targets.TARGET_NAMES:
+            raise ValueError(f"unknown target {self.target!r}")
+        if self.coeffs:
+            try:
+                c = self.target_coeffs()
+            except ValueError:
+                c = ()
+            if len(c) != self.d or not all(map(math.isfinite, c)):
+                raise ValueError(f"coeffs must be d = {self.d} finite comma-separated "
+                                 f"floats, got {self.coeffs!r}")
         if self.grid == "weil":
             self.repetitions = 1  # deterministic grid: averaging is a no-op
 
@@ -186,8 +201,11 @@ def run(cfg: StudyConfig, value, score=None):
     score(values) turns the list of every evaluated cell's value into one
     float each, in (q, rep) order (conv-study fits each cell in the loop
     and scores all the fits on one test sample).  Before the first
-    repetition of an evaluated cell, a design (and the copy the SVD makes of
-    it, 2*8*m*N bytes) larger than physical memory raises ValueError.
+    repetition of an evaluated cell, a cell whose design needs more than
+    physical memory raises ValueError naming the cell.  The check asks room
+    for 2*8*m*N bytes, D plus headroom: cond-study holds D once
+    (lstsq.condition factors it in place), and lstsq.solve checks the
+    4*8*m*N bytes its SVD holds itself.
     """
     cells, vals, evaluated = [], [], []
     for q in range(cfg.q_min, cfg.q_max + 1):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
                            evaluate_fit, gram, solve)
 from weilfit.pointgen import mc_sample, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
-                               LEGENDRE_ORTHONORMAL, eval_tensor)
+                               LEGENDRE_ORTHONORMAL, basis_matrix, eval_tensor)
 from weilfit.study import StudyConfig, cell_points, realize_cell
 from weilfit.targets import coefficients, make
 
@@ -141,6 +145,92 @@ def test_condition_matches_solve_and_is_inf_when_underdetermined():
     assert math.isclose(got.cond_A, want.cond_A, rel_tol=1e-12)
     few = condition(weil_grid(11, 2), idx, LEGENDRE_ORTHONORMAL)  # m = 6 < N = 15
     assert few == ConditionReport(math.inf, math.inf)
+
+
+# Largest order per (kind, d), so N stays at or below 330 (TD q=7, d=4, the
+# largest cond-quad cell) and reaches past 128, where dgeqrf works in blocks.
+_MAX_Q = {"TD": {1: 239, 2: 20, 3: 10, 4: 7}, "TP": {1: 239, 2: 14, 3: 5, 4: 3}}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(spec=st.sampled_from(SPECS),
+       weights=st.sampled_from([UNIT_WEIGHTS, WeightScheme("density_ratio", "uniform")]),
+       kind=st.sampled_from(KINDS), d=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def condition_equals_the_full_svd(spec, weights, kind, d, data, seed):
+    """condition gives the cond_D and cond_A of np.linalg.svd of the scaled
+    design, float for float, on both sides of dgesdd's QR crossover
+    m = floor(11 N / 6).  Run at one BLAS thread (see the test below)."""
+    idx = build_index_set(kind, data.draw(st.integers(0, _MAX_Q[kind][d])), d)
+    N = len(idx)
+    m = data.draw(st.sampled_from([N * 11 // 6 - 1, N * 11 // 6, N * 11 // 6 + 1,
+                                   2 * N, 8 * N + 3]))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (max(m, 1), d))
+    pts[rng.random(pts.shape) < 0.05] = 1.0  # zero weight under density_ratio
+    B = basis_matrix(spec, idx, pts) * np.sqrt(compute_weights(weights, pts))[:, None]
+    s = np.linalg.svd(B, compute_uv=False)
+    cond_D = float(s[0] / s[-1]) if s.size == N and s[-1] > 0.0 else math.inf
+    assert condition(pts, idx, spec, weights) == ConditionReport(cond_D, cond_D * cond_D)
+
+
+def _run_at_one_blas_thread(script):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_condition_equals_the_full_svd_at_one_blas_thread():
+    _run_at_one_blas_thread("import test_lstsq\ntest_lstsq.condition_equals_the_full_svd()\n")
+
+
+def test_condition_factors_in_place_from_the_crossover_on(monkeypatch):
+    # TD q=3, d=2: N = 10, crossover at m = 18.  From there np.linalg.svd
+    # sees only the N x N triangular factor; below it, the whole design.
+    idx = build_index_set("TD", 3, 2)
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    for m in (17, 18, 19, 200):
+        condition(np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2)), idx,
+                  CHEBYSHEV_ORTHONORMAL)
+    assert shapes == [(17, 10), (10, 10), (10, 10), (10, 10)]
+
+
+def test_condition_holds_the_design_once():
+    # a 24000 x 330 design (63 MB): the peak grows by D and the 6 MB of 1-d
+    # tables, not by a second copy of D
+    ratio = float(_run_at_one_blas_thread(
+        "import resource\n"
+        "import numpy as np\n"
+        "from weilfit import CHEBYSHEV_ORTHONORMAL as S, build_index_set\n"
+        "from weilfit.lstsq import condition\n"
+        "idx = build_index_set('TD', 7, 4)\n"
+        "pts = np.random.default_rng(0).uniform(-1, 1, (24000, 4))\n"
+        "condition(pts[:1000], idx, S)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "condition(pts, idx, S)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print((after - before) * 1024 / (8 * 24000 * len(idx)))\n"))
+    assert ratio < 1.5
+
+
+def test_solve_checks_the_memory_of_four_designs(monkeypatch):
+    # D, the copy LAPACK factors and U twice; condition holds D once
+    idx = build_index_set("TD", 3, 2)
+    g = weil_grid(211, 2)
+    design = 8 * g.n_points * len(idx)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 3 * design)
+    condition(g, idx, CHEBYSHEV_ORTHONORMAL)
+    with pytest.raises(ValueError, match=r"^the 106 x 10 least-squares solve needs "):
+        solve(g, np.ones(g.n_points), idx, CHEBYSHEV_ORTHONORMAL)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 4 * design)
+    solve(g, np.ones(g.n_points), idx, CHEBYSHEV_ORTHONORMAL)
 
 
 def test_solve_singular_system():

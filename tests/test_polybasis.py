@@ -205,6 +205,14 @@ def test_basis_matrix_is_bit_identical_to_eval_tensor(spec, idx, data, seed):
     D = basis_matrix(spec, idx, pts)
     assert D.flags.c_contiguous
     assert np.array_equal(D, np.column_stack([eval_tensor(spec, n, pts) for n in idx]))
+    F = basis_matrix(spec, idx, pts, order="F")
+    assert F.flags.f_contiguous
+    assert np.array_equal(F, D)
+
+
+def test_basis_matrix_rejects_an_unknown_order():
+    with pytest.raises(ValueError, match="order must be 'C' or 'F'"):
+        basis_matrix(CHEBYSHEV_CLASSICAL, [(0,), (1,)], np.zeros((3, 1)), order="X")
 
 
 # Products stay at or below 2**18 entries: OpenBLAS runs such a

@@ -1,9 +1,10 @@
-"""The conv-study CSVs of the benchmark workloads, byte for byte.
+"""The study CSVs of the benchmark workloads, byte for byte.
 
-Runs the `conv-eval` and `conv-quad` argv of bench/spec.json at --seed 0 in a
-subprocess pinned to one BLAS thread and compares the output with the
-committed bench/reference/<workload>/seed-0.csv, so a change of one bit in a
-study CSV fails here and not only in the benchmark.  Only reads bench/.
+Runs the argv of each workload of bench/spec.json (`conv-eval`, `conv-quad`,
+`cond-quad`, `mc-reps`) at --seed 0 in a subprocess pinned to one BLAS
+thread and compares the output with the committed
+bench/reference/<workload>/seed-0.csv, so a change of one bit in a study CSV
+fails here and not only in the benchmark.  Only reads bench/.
 """
 
 import json
@@ -18,8 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "bench" / "spec.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["conv-eval", "conv-quad"])
-def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
+def _check_against_the_reference(workload, tmp_path):
     out = tmp_path / "study.csv"
     argv = SPEC["workloads"][workload]["argv"] + ["--seed", "0", "--out", str(out)]
     src = str(ROOT / "src")
@@ -31,3 +31,13 @@ def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
     assert proc.returncode == 0, proc.stderr
     reference = ROOT / "bench" / "reference" / workload / "seed-0.csv"
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("workload", ["conv-eval", "conv-quad"])
+def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
+    _check_against_the_reference(workload, tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["cond-quad", "mc-reps"])
+def test_cond_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
+    _check_against_the_reference(workload, tmp_path)
