@@ -24,16 +24,20 @@ import argparse
 import csv
 import math
 import sys
+import typing
+from dataclasses import fields
+from itertools import starmap
 
 import numpy as np
 
 from . import diagnostics, study, targets
-from .indexsets import KINDS, build_index_set
-from .lstsq import (SingularSystemError, TARGET_DENSITIES, WEIGHT_KINDS,
-                    condition, solve)
-from .pointgen import (arcsine_box_measure, equidist_box_fraction, is_prime,
-                       nearest_prime, weil_exponential_sum, weil_grid)
-from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
+from .indexsets import build_index_set
+from .lstsq import SingularSystemError, condition, solve
+from .pointgen import (MAX_MODULUS, arcsine_box_measure, equidist_box_fraction,
+                       is_prime, nearest_prime, weil_exponential_sum, weil_grid)
+
+# The StudyConfig settings `fit` takes: the basis and the row weights.
+_BASIS_SETTINGS = ("space", "family", "normalization", "weights", "target_density")
 
 
 def _write_csv(path, comments, header, rows) -> None:
@@ -51,10 +55,10 @@ def _study_row(q, N, m, M, val):
     return [q, N, m, M, repr(float(val)) if np.isfinite(val) else "inf"]
 
 
-def _write_study(args, cfg, colname, value, score=None, comments=()):
+def _write_study(args, cfg, colname, values, comments=()):
     """Run the study, then write its CSV: the config echo, `comments`, one
     `# rep` line per repetition when there are several, and the rows."""
-    rows, reps = study.run(cfg, value, score)
+    rows, reps = study.run(cfg, values)
     lines = cfg.echo_lines() + list(comments)
     if cfg.repetitions > 1:
         lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
@@ -64,9 +68,18 @@ def _write_study(args, cfg, colname, value, score=None, comments=()):
     return 0
 
 
-def cmd_points(args) -> int:
+def _grid(args):
+    """(M, Weil grid) for the prime M nearest to args.M; a target above the
+    limit is refused before the search, as every one snaps past it."""
+    if args.M > MAX_MODULUS:
+        raise ValueError(f"--M exceeds {MAX_MODULUS}, the largest modulus with exact "
+                         f"int64 residues")
     M = nearest_prime(args.M)
-    grid = weil_grid(M, args.d)
+    return M, weil_grid(M, args.d)
+
+
+def cmd_points(args) -> int:
+    M, grid = _grid(args)
     _write_csv(args.out, [f"M={M}", f"M_target={args.M}", f"d={args.d}"],
                ["j"] + [f"y{i + 1}" for i in range(args.d)],
                ([j] + [repr(float(v)) for v in row] for j, row in enumerate(grid.points)))
@@ -126,15 +139,14 @@ def cmd_fit(args) -> int:
             f"row count mismatch: {pts.shape[0]} points in {args.points} but "
             f"{len(fvals)} values in {args.values}"
         )
-    index_set = build_index_set(args.space, args.q, pts.shape[1])
-    spec = BasisSpec(args.family, args.normalization)
-    scheme = study.weight_scheme(args.weights, args.target_density)
-    fit = solve(pts, fvals, index_set, spec, scheme)
+    cfg = study.StudyConfig(**{name: getattr(args, name) for name in _BASIS_SETTINGS})
+    index_set = build_index_set(cfg.space, args.q, pts.shape[1])
+    fit = solve(pts, fvals, index_set, cfg.basis_spec(), cfg.weight_scheme())
     rep = fit.condition_report
     _write_csv(args.out,
-               [f"space={args.space}", f"q={args.q}", f"d={pts.shape[1]}",
-                f"family={args.family}", f"normalization={args.normalization}",
-                f"weights={args.weights}", f"target_density={args.target_density}",
+               [f"space={cfg.space}", f"q={args.q}", f"d={pts.shape[1]}",
+                f"family={cfg.family}", f"normalization={cfg.normalization}",
+                f"weights={cfg.weights}", f"target_density={cfg.target_density}",
                 f"n_points={pts.shape[0]}", f"N={index_set.N}",
                 f"cond_D={repr(rep.cond_D)}", f"cond_A={repr(rep.cond_A)}",
                 f"residual_norm={repr(fit.residual_norm)}"],
@@ -153,7 +165,9 @@ def cmd_cond_study(args) -> int:
     def cond_A(pts, index_set):
         return condition(pts, index_set, spec, scheme).cond_A
 
-    return _write_study(args, cfg, "cond_A", cond_A)
+    # starmap drops each cell's points before the next cell's are made (a
+    # comprehension's loop variable would hold them meanwhile)
+    return _write_study(args, cfg, "cond_A", lambda cells: list(starmap(cond_A, cells)))
 
 
 def cmd_conv_study(args) -> int:
@@ -168,10 +182,11 @@ def cmd_conv_study(args) -> int:
         except SingularSystemError:
             return None  # scores inf
 
-    def l2_errors(fits):
+    def l2_errors(cells):
+        fits = list(starmap(fit, cells))  # as in cmd_cond_study
         return diagnostics.l2_error(fits, f, cfg.n_test, seed=cfg.seed).l2_error
 
-    return _write_study(args, cfg, "l2_error", fit, l2_errors,
+    return _write_study(args, cfg, "l2_error", l2_errors,
                         ["target_coeffs=" + ",".join(repr(float(v)) for v in coeffs)])
 
 
@@ -198,8 +213,7 @@ def parse_boxes(text: str, d: int):
 
 
 def cmd_equidist(args) -> int:
-    M = nearest_prime(args.M)
-    grid = weil_grid(M, args.d)
+    M, grid = _grid(args)
     boxes = parse_boxes(args.boxes, args.d)
     rows = []
     for token, box in boxes:
@@ -221,10 +235,10 @@ def cmd_check_bounds(args) -> int:
     reports = []
     for d in ds:
         for q in qs:
+            index_set = build_index_set("TD", q, d)
             first = 2 * q + 2  # smallest prime beyond the bound hypothesis
             while not is_prime(first):
                 first += 1
-            index_set = build_index_set("TD", q, d)
             # 97 and 997 join only where they meet the hypothesis M > 2q+1
             moduli = {first} | {p for p in (97, 997) if p > 2 * q + 1}
             for M in sorted(moduli):
@@ -279,33 +293,19 @@ def cmd_check_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_basis_flags(p, defaults):
-    """--space/--family/--normalization/--weights/--target-density, defaulting
-    to the fields of `defaults` (None leaves them unset)."""
-    for name, choices in (("space", KINDS), ("family", FAMILIES),
-                          ("normalization", NORMALIZATIONS),
-                          ("weights", WEIGHT_KINDS),
-                          ("target_density", TARGET_DENSITIES)):
-        p.add_argument("--" + name.replace("_", "-"), dest=name, choices=list(choices),
-                       default=getattr(defaults, name, None))
-
-
-def _add_study_flags(p):
-    p.add_argument("--config", help="flat key=value config file")
-    _add_basis_flags(p, None)
-    p.add_argument("--d", type=int, dest="d")
-    p.add_argument("--q-min", type=int, dest="q_min")
-    p.add_argument("--q-max", type=int, dest="q_max")
-    p.add_argument("--scaling", choices=list(study.SCALINGS))
-    p.add_argument("--c", type=float, dest="c")
-    p.add_argument("--grid", choices=list(study.GRIDS))
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--target", choices=list(targets.TARGET_NAMES))
-    p.add_argument("--coeffs", help="comma-separated target coefficients")
-    p.add_argument("--coeff-seed", type=int, dest="coeff_seed")
-    p.add_argument("--n-test", type=int, dest="n_test")
-    p.add_argument("--out", required=True)
+def _add_settings(p, names, defaults=None):
+    """One --<name> flag (with - for _) per StudyConfig field in `names`,
+    parsed as the field's type and limited to its CHOICES, defaulting to the
+    field of `defaults` (None leaves it unset, so a config file applies)."""
+    types = typing.get_type_hints(study.StudyConfig)
+    for f in fields(study.StudyConfig):
+        if f.name in names:
+            choices = study.CHOICES.get(f.name)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=None if types[f.name] is str else types[f.name],
+                           choices=None if choices is None else list(choices),
+                           default=getattr(defaults, f.name, None),
+                           help=f.metadata.get("help"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,17 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, help="CSV from the points subcommand")
     p.add_argument("--values", required=True, help="CSV/text with one value per point row")
     p.add_argument("--q", type=int, required=True)
-    _add_basis_flags(p, study.StudyConfig())
+    _add_settings(p, _BASIS_SETTINGS, study.StudyConfig())
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("cond-study", help="condition number vs order")
-    _add_study_flags(p)
-    p.set_defaults(func=cmd_cond_study)
-
-    p = sub.add_parser("conv-study", help="discrete L2 error vs order")
-    _add_study_flags(p)
-    p.set_defaults(func=cmd_conv_study)
+    for name, func, text in (("cond-study", cmd_cond_study, "condition number vs order"),
+                             ("conv-study", cmd_conv_study, "discrete L2 error vs order")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="flat key=value config file")
+        _add_settings(p, [f.name for f in fields(study.StudyConfig)])
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("equidist", help="box counts vs the arcsine measure")
     p.add_argument("--M", type=int, required=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,11 @@ def check_memory(what: str, size: int) -> None:
     memory (`size` bytes); no check where that memory size is unknown."""
     memory = _physical_memory()
     if memory is not None and size > memory:
-        raise ValueError(f"{what} needs {size / 2**30:.1f} GiB, more than the "
+        try:
+            need = f"{size / 2**30:.1f} GiB"
+        except OverflowError:
+            need = f"more than {sys.float_info.max:.1e} GiB"
+        raise ValueError(f"{what} needs {need}, more than the "
                          f"{memory / 2**30:.1f} GiB of physical memory")
 
 

@@ -3,42 +3,45 @@
 A study sweeps the order q from q_min to q_max.  Each q is one cell: its
 index set fixes N, the scaling rule fixes the point count m and the prime
 modulus M (`realize_cell`), and the cell's points come from the Weil grid or
-a Monte Carlo sampler (`cell_points`).  `run` evaluates one per-cell value
-(a condition number, or a fit that is scored after the loop) in
-deterministic (q, repetition) order and averages the repetitions.  Monte
-Carlo cells draw their points from PCG64 seeded with SeedSequence([seed, q,
-rep]); weil grids force repetitions=1.  A cell with fewer points than basis
-functions (m < N) records inf without being evaluated.
+a Monte Carlo sampler (`cell_points`).  `run` hands the points of every
+(q, repetition) cell to one `values` callable and averages the repetitions.
+Monte Carlo cells draw their points from PCG64 seeded with
+SeedSequence([seed, q, rep]); weil grids force repetitions=1.  A cell with
+fewer points than basis functions (m < N) records inf without being
+evaluated.  `StudyConfig` is the one table of study settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import targets
 from .indexsets import KINDS, build_index_set
-from .lstsq import TARGET_DENSITIES, UNIT_WEIGHTS, WeightScheme
+from .lstsq import TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, WeightScheme
 from .pointgen import (MAX_MODULUS, check_memory, mc_sample, nearest_prime,
                        weil_grid)
-from .polybasis import BasisSpec
+from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
 SCALINGS = ("linear", "quadratic")
 
-
-def weight_scheme(weights: str, target_density: str) -> WeightScheme:
-    """The row weights a (weights, target_density) setting selects; the
-    target density only matters for density-ratio weights."""
-    if weights == "unit":
-        return UNIT_WEIGHTS
-    return WeightScheme(weights, target_density)
+# The allowed values of each StudyConfig setting that takes one of a few.
+CHOICES = {"space": KINDS, "family": FAMILIES, "normalization": NORMALIZATIONS,
+           "weights": WEIGHT_KINDS, "target_density": TARGET_DENSITIES,
+           "scaling": SCALINGS, "grid": GRIDS, "target": targets.TARGET_NAMES}
 
 
 @dataclass
 class StudyConfig:
+    """Every study setting.  Each field is a config key (`load_config`) and a
+    flag (`--q-min` for q_min, help text from its `help` metadata), parsed as
+    the field's type; every field is checked, also those a study kind does
+    not read, choices against CHOICES."""
+
     space: str = "TD"
     d: int = 2
     q_min: int = 1
@@ -53,17 +56,17 @@ class StudyConfig:
     repetitions: int = 100
     seed: int = 0
     target: str = "expsum"
-    coeffs: str = ""        # comma-separated floats; empty = published set
+    coeffs: str = field(  # empty = the published set
+        default="", metadata={"help": "comma-separated target coefficients"})
     coeff_seed: int = -1    # -1 = unset
     n_test: int = 2000
 
     def __post_init__(self):
-        if self.space not in KINDS:
-            raise ValueError(f"unknown space {self.space!r}")
-        if self.scaling not in SCALINGS:
-            raise ValueError(f"unknown scaling {self.scaling!r}")
-        if self.grid not in GRIDS:
-            raise ValueError(f"unknown grid {self.grid!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}; "
+                                 f"expected one of {allowed}")
         if self.q_min < 0 or self.q_max < self.q_min:
             raise ValueError(f"bad q range [{self.q_min}, {self.q_max}]")
         if not 0 < self.c < math.inf:  # also rejects NaN
@@ -76,13 +79,7 @@ class StudyConfig:
             raise ValueError(f"coeff_seed must be >= 0 (or -1, unset), got {self.coeff_seed}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
-        # every field is checked, also those one study kind does not read
-        self.basis_spec()
-        if self.target_density not in TARGET_DENSITIES:
-            raise ValueError(f"unknown target density {self.target_density!r}")
-        self.weight_scheme()
-        if self.target not in targets.TARGET_NAMES:
-            raise ValueError(f"unknown target {self.target!r}")
+        self.basis_spec()  # legendre has no classical normalization
         if self.coeffs:
             try:
                 c = self.target_coeffs()
@@ -98,7 +95,11 @@ class StudyConfig:
         return BasisSpec(self.family, self.normalization)
 
     def weight_scheme(self) -> WeightScheme:
-        return weight_scheme(self.weights, self.target_density)
+        """The row weights; the target density only matters for
+        density-ratio weights."""
+        if self.weights == "unit":
+            return UNIT_WEIGHTS
+        return WeightScheme(self.weights, self.target_density)
 
     def target_coeffs(self):
         if self.coeffs:
@@ -107,20 +108,16 @@ class StudyConfig:
         return targets.coefficients(self.target, self.d, seed)
 
     def echo_lines(self):
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out.append(f"{f.name}={v}")
-        return out
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value config file ('#' starts a comment).
+    """Parse a flat key=value config file ('#' starts a comment) into a dict
+    of StudyConfig fields, each value parsed as its field's type.
 
-    A malformed line, an unknown key or a value that does not parse as its
-    field's type raises ValueError naming the file and line."""
-    known = {f.name: f.type for f in fields(StudyConfig)}
-    typemap = {"int": int, "float": float}  # field annotations are strings
+    A malformed line, an unknown key or a value that does not parse raises
+    ValueError naming the file and line; StudyConfig checks the values."""
+    known = typing.get_type_hints(StudyConfig)
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -132,29 +129,22 @@ def load_config(path) -> dict:
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = typemap.get(known[key], str)
+            kind = known[key]
             try:
                 values[key] = kind(val)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key} must be {known[key]}, "
+                raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, "
                                  f"got {val!r}") from None
     return values
 
 
 def resolve_config(args) -> StudyConfig:
     """Config file first, then explicit command-line overrides."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
+    values = load_config(args.config) if getattr(args, "config", None) else {}
     for f in fields(StudyConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            values[f.name] = v
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
     return StudyConfig(**values)
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
 
 
 def realize_cell(cfg: StudyConfig, q: int):
@@ -169,9 +159,9 @@ def realize_cell(cfg: StudyConfig, q: int):
     index_set = build_index_set(cfg.space, q, cfg.d)
     N = index_set.N
     size = N * N if cfg.scaling == "quadratic" else N
-    # Capped before rounding so a huge c*size never reaches int(); any capped
-    # target is past the limit anyway.
-    m_target = max(1, _round_half_up(min(cfg.c * size, MAX_MODULUS)))
+    # Rounded half up, and capped first so a huge c*size never reaches
+    # math.floor; any capped target is past the limit anyway.
+    m_target = max(1, math.floor(min(cfg.c * size, MAX_MODULUS) + 0.5))
     M = nearest_prime(max(2, 2 * m_target - 1))
     if M > MAX_MODULUS:
         raise ValueError(f"cell q={q} targets {cfg.c * size:.4g} points, which needs a "
@@ -191,39 +181,36 @@ def cell_points(cfg: StudyConfig, q: int, m: int, M: int, rep: int):
     return mc_sample(measure, m, cfg.d, seed)
 
 
-def run(cfg: StudyConfig, value, score=None):
-    """Evaluate value(points, index_set) on every (q, rep) cell.
+def run(cfg: StudyConfig, values):
+    """Realize every cell, then call values(cells) once.
 
-    Returns (rows, reps): one (q, N, m, M, mean over repetitions) row per
-    order and one (q, rep, value) entry per repetition, both in (q, rep)
-    order.  A cell with m < N records inf and is never evaluated.  With
-    `score`, a cell's value need not be a float: after the loop,
-    score(values) turns the list of every evaluated cell's value into one
-    float each, in (q, rep) order (conv-study fits each cell in the loop
-    and scores all the fits on one test sample).  Before the first
-    repetition of an evaluated cell, a cell whose design needs more than
-    physical memory raises ValueError naming the cell.  The check asks room
-    for 2*8*m*N bytes, D plus headroom: cond-study holds D once
-    (lstsq.condition factors it in place), and lstsq.solve checks the
-    4*8*m*N bytes its SVD holds itself.
+    `cells` iterates over (points, index_set) for each repetition of each
+    cell with m >= N, in (q, rep) order, and `values` returns one float per
+    item.  Returns (rows, reps): one (q, N, m, M, mean over repetitions) row
+    per order and one (q, rep, value) per repetition, in (q, rep) order; a
+    cell with m < N reads inf.  A cell past the modulus limit raises
+    ValueError before any cell is evaluated, and before the first
+    repetition of a cell, a design of more than physical memory raises
+    ValueError naming the cell.  That check asks room for 2*8*m*N bytes, D
+    plus headroom: cond-study holds D once (lstsq.condition factors it in
+    place), and lstsq.solve checks the 4*8*m*N bytes its SVD holds itself.
     """
-    cells, vals, evaluated = [], [], []
-    for q in range(cfg.q_min, cfg.q_max + 1):
-        index_set, N, m, M = realize_cell(cfg, q)
-        cells.append((q, N, m, M))
-        if m < N:
-            vals += [math.inf] * cfg.repetitions
-            continue
-        check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
-        for rep in range(cfg.repetitions):
-            evaluated.append(len(vals))
-            vals.append(value(cell_points(cfg, q, m, M, rep), index_set))
-    if score is not None:
-        for i, v in zip(evaluated, score([vals[i] for i in evaluated])):
-            vals[i] = v
+    cells = [(q,) + realize_cell(cfg, q) for q in range(cfg.q_min, cfg.q_max + 1)]
+
+    def evaluated():
+        for q, index_set, N, m, M in cells:
+            if m < N:
+                continue
+            check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
+            for rep in range(cfg.repetitions):
+                yield cell_points(cfg, q, m, M, rep), index_set
+
+    scores = iter(values(evaluated()))
     R = cfg.repetitions
-    rows = [cell + (float(np.mean(vals[k * R:(k + 1) * R])),)
-            for k, cell in enumerate(cells)]
+    vals = [next(scores) if m >= N else math.inf
+            for q, index_set, N, m, M in cells for rep in range(R)]
+    rows = [(q, N, m, M, float(np.mean(vals[k * R:(k + 1) * R])))
+            for k, (q, index_set, N, m, M) in enumerate(cells)]
     reps = [(cell[0], rep, vals[k * R + rep])
             for k, cell in enumerate(cells) for rep in range(R)]
     return rows, reps

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -19,9 +20,16 @@ from weilfit.indexsets import KINDS, build_index_set
 from weilfit.lstsq import TARGET_DENSITIES, WEIGHT_KINDS, solve
 from weilfit.pointgen import is_prime, weil_grid
 from weilfit.polybasis import FAMILIES, NORMALIZATIONS
-from weilfit.study import (GRIDS, SCALINGS, StudyConfig, _round_half_up, cell_points,
-                           load_config, realize_cell, resolve_config)
+from weilfit.study import (CHOICES, GRIDS, SCALINGS, StudyConfig, cell_points, load_config,
+                           realize_cell, resolve_config, run)
 from weilfit.targets import TARGET_NAMES, make
+
+
+# field annotations are strings
+_STUDY_FIELDS = {f.name: f.type for f in fields(StudyConfig)}
+_CHOICES = {"space": KINDS, "scaling": SCALINGS, "grid": GRIDS, "family": FAMILIES,
+            "normalization": NORMALIZATIONS, "weights": WEIGHT_KINDS,
+            "target_density": TARGET_DENSITIES, "target": TARGET_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +99,114 @@ def test_load_config_and_precedence(tmp_path):
     assert cfg.space == "TP" and cfg.c == 2.0 and cfg.repetitions == 4
 
 
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _flag_type(name):
+    return {"int": int, "float": float, "str": None}[_STUDY_FIELDS[name]]
+
+
+@pytest.mark.parametrize("command", ["cond-study", "conv-study"])
+def test_study_flags_are_the_study_config_fields(command):
+    assert CHOICES == _CHOICES
+    actions = {a.dest: a for a in _subparser(command)._actions if a.option_strings}
+    assert set(actions) == {"help", "config", "out"} | set(_STUDY_FIELDS)
+    for name in _STUDY_FIELDS:
+        a = actions[name]
+        assert a.option_strings == ["--" + name.replace("_", "-")]
+        assert a.type is _flag_type(name)
+        assert a.choices == (list(CHOICES[name]) if name in CHOICES else None)
+        assert a.default is None  # unset, so a config file applies
+    assert actions["coeffs"].help == "comma-separated target coefficients"
+
+
+def test_fit_takes_the_five_basis_settings_with_study_config_defaults():
+    actions = {a.dest: a for a in _subparser("fit")._actions if a.option_strings}
+    basis = ("space", "family", "normalization", "weights", "target_density")
+    assert set(actions) == {"help", "points", "values", "q", "out"} | set(basis)
+    for name in basis:
+        a = actions[name]
+        assert a.option_strings == ["--" + name.replace("_", "-")]
+        assert a.choices == list(CHOICES[name])
+        assert a.default == getattr(StudyConfig(), name)
+
+
+# one valid value per setting, written as text
+_SETTING_TEXT = {
+    **{name: st.sampled_from(allowed) for name, allowed in _CHOICES.items()},
+    "d": st.integers(1, 6).map(str),
+    "q_min": st.integers(0, 10).map(str),
+    "q_max": st.integers(1, 30).map(str),
+    "c": st.floats(1e-300, 1e300).map(repr),
+    "repetitions": st.integers(1, 10**6).map(str),
+    "seed": st.integers(0, 2**64).map(str),
+    "coeffs": st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2).map(
+        lambda c: ",".join(map(repr, c))),
+    "coeff_seed": st.integers(-1, 2**32).map(str),
+    "n_test": st.integers(1, 10**7).map(str),
+}
+
+
+@pytest.mark.parametrize("name", list(_SETTING_TEXT))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_config_key_and_flag_resolve_to_the_same_study_config(name, data):
+    assert set(_SETTING_TEXT) == set(_STUDY_FIELDS)
+    text = data.draw(_SETTING_TEXT[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = Path(tmp) / "study.cfg"
+        cfgfile.write_text(f"{name}={text}\n")
+        parser = build_parser()
+        from_file = resolve_config(parser.parse_args(
+            ["conv-study", "--config", str(cfgfile), "--out", "o.csv"]))
+    flag = "--" + name.replace("_", "-")
+    from_flag = resolve_config(parser.parse_args(["conv-study", f"{flag}={text}",
+                                                  "--out", "o.csv"]))
+    assert from_file == from_flag
+    assert getattr(from_flag, name) == (_flag_type(name) or str)(text) or \
+        name == "repetitions"  # weil grids force 1
+
+
+def test_unknown_choice_in_a_config_file_names_the_allowed_values(tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("grid=qmc\n")
+    rc = main(["cond-study", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: unknown grid 'qmc'; expected one of "
+                                       "('weil', 'mc_chebyshev', 'mc_uniform')\n")
+
+
+def test_run_hands_values_the_evaluated_cells_in_q_rep_order():
+    # quadratic c = 0.2: q = 1 has m = 2 < N = 3 and reads inf
+    cfg = StudyConfig(d=2, q_min=1, q_max=4, c=0.2, grid="mc_uniform", repetitions=3, seed=7)
+    seen = []
+
+    def values(cells):
+        seen.extend(cells)
+        return [10.0 * index_set.q + k for k, (_, index_set) in enumerate(seen)]
+
+    rows, reps = run(cfg, values)
+    cells = [(q, rep) for q in (2, 3, 4) for rep in range(3)]
+    assert [index_set.q for _, index_set in seen] == [q for q, _ in cells]
+    for (q, rep), (pts, index_set) in zip(cells, seen):
+        want_set, N, m, M = realize_cell(cfg, q)
+        assert np.array_equal(index_set.array, want_set.array)
+        assert np.array_equal(pts.points, cell_points(cfg, q, m, M, rep).points)
+    assert reps == [(1, rep, math.inf) for rep in range(3)] + \
+        [(q, rep, 10.0 * q + k) for k, (q, rep) in enumerate(cells)]
+    assert [row[:4] for row in rows] == [(q,) + realize_cell(cfg, q)[1:] for q in (1, 2, 3, 4)]
+    assert [row[4] for row in rows] == [math.inf] + [
+        float(np.mean([10.0 * q + k for k, (p, _) in enumerate(cells) if p == q]))
+        for q in (2, 3, 4)]
+    # d=1, linear c=1: m = N = q + 1 is evaluated
+    cfg = StudyConfig(d=1, q_min=1, q_max=2, scaling="linear", c=1.0)
+    rows, _ = run(cfg, lambda cells: [float(pts.n_points) for pts, _ in cells])
+    assert rows == [(1, 2, 2, 3, 2.0), (2, 3, 3, 5, 3.0)]
+
+
 def test_load_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("q_min 2\n")
@@ -102,10 +218,12 @@ def test_load_config_rejects_garbage(tmp_path):
 
 
 def test_round_half_up():
-    assert _round_half_up(0.5) == 1
-    assert _round_half_up(1.5) == 2
-    assert _round_half_up(2.4) == 2
-    assert _round_half_up(1012.5) == 1013
+    # d=1, q=0 has N=1, so linear scaling targets round(c) points and M is
+    # the prime nearest to 2*round(c) - 1 (at least 2); the worked example
+    # below covers 1012.5 -> 1013
+    for c, M in ((0.5, 2), (1.5, 3), (2.4, 3), (2.5, 5)):
+        _, N, m, got = realize_cell(StudyConfig(d=1, q_min=0, scaling="linear", c=c), 0)
+        assert (N, got, m) == (1, M, M // 2 + 1)
 
 
 def test_realize_cell_worked_example():
@@ -295,6 +413,54 @@ def test_conv_study_cell_whose_solve_exceeds_physical_memory_exits_2(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: the {m} x {N} least-squares solve needs ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond-study", "--d", "1", "--q-min", str(10**400), "--q-max", str(10**400)],
+    ["check-bounds", "--dims", "1", "--orders", str(10**400)],
+    ["points", "--M", str(10**1000), "--d", "1"],
+], ids=["cond-study", "check-bounds", "points"])
+def test_huge_integers_exit_2_without_output(tmp_path, capsys, argv):
+    # sizes past float range failed to format (OverflowError, a traceback);
+    # --M was searched for its nearest prime (19 s) before the limit check
+    out = tmp_path / "o.csv"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "points":
+        assert err == "error: --M exceeds 3037000499, the largest modulus with exact int64 residues\n"
+    else:
+        assert "needs more than 1.8e+308 GiB, more than the " in err
+    assert not out.exists()
+
+
+def test_points_and_equidist_refuse_a_target_modulus_past_the_limit(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the largest target that snaps to a prime within the limit, and the
+    # smallest above it (which snaps to 3037000507)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**30)
+    rc = main(["equidist", "--M", "3037000499", "--d", "1", "--boxes", "0:1",
+               "--out", str(tmp_path / "eq.csv")])
+    assert rc == 2 and "physical memory" in capsys.readouterr().err  # M = 3037000493
+    for cmd in (["points"], ["equidist", "--boxes", "0:1"]):
+        out = tmp_path / "o.csv"
+        rc = main(cmd + ["--M", "3037000500", "--d", "1", "--out", str(out)])
+        assert rc == 2
+        assert "--M exceeds 3037000499" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_check_bounds_gram_larger_than_physical_memory_exits_2(tmp_path, capsys,
+                                                               monkeypatch):
+    # N = 21945 at d=2, q=208: the Gram matrix and A + A.T are 3.6 GiB each
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**32)
+    out = tmp_path / "cb.csv"
+    rc = main(["check-bounds", "--dims", "2", "--orders", "208", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: the 21945 x 21945 Gram matrix needs 7.2 GiB, "
+                                       "more than the 4.0 GiB of physical memory\n")
     assert not out.exists()
 
 
@@ -575,10 +741,6 @@ _BAD_BYTES = st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"\x80abc"])
 _POINTS = [(0.5, -0.25), (-0.75, 0.125), (0.0, 0.875), (0.3, 0.3), (-0.6, -0.9),
            (0.95, 0.1), (-0.2, 0.65), (0.8, -0.55)]
 _GOOD_STUDY = ["d=1", "q_min=0", "q_max=2", "scaling=linear", "c=2", "n_test=50"]
-_STUDY_FIELDS = {f.name: f.type for f in fields(StudyConfig)}
-_CHOICES = {"space": KINDS, "scaling": SCALINGS, "grid": GRIDS, "family": FAMILIES,
-            "normalization": NORMALIZATIONS, "weights": WEIGHT_KINDS,
-            "target_density": TARGET_DENSITIES, "target": TARGET_NAMES}
 _OUT_OF_RANGE = ["d=0", "d=-1", "q_min=-1", "q_min=3", "repetitions=0", "seed=-1",
                  "coeff_seed=-2", "n_test=0", "c=0", "c=-1", "c=nan", "c=inf",
                  "normalization=classical\nfamily=legendre", "coeffs=1,2", "coeffs=nan",

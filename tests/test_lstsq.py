@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,25 @@ def test_gram_matches_definition():
     np.testing.assert_allclose(A, want, rtol=0, atol=1e-12)
     assert np.array_equal(A, A.T)  # symmetrized exactly
     assert np.all(np.linalg.eigvalsh(A) >= -1e-12)
+
+
+def test_gram_checks_the_memory_of_its_design_and_two_gram_matrices(monkeypatch):
+    # B, A and A + A.T, which numpy halves in place: tracemalloc's peak
+    idx = build_index_set("TD", 30, 2)
+    g = weil_grid(211, 2)
+    need = 8 * (g.n_points * len(idx) + 2 * len(idx) ** 2)
+    tracemalloc.start()
+    try:
+        gram(g, idx, CHEBYSHEV_ORTHONORMAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak < need + 2**18
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^the 496 x 496 Gram matrix needs "):
+        gram(g, idx, CHEBYSHEV_ORTHONORMAL)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need)
+    gram(g, idx, CHEBYSHEV_ORTHONORMAL)
 
 
 def test_gram_near_scaled_identity_on_fine_weil_grid():
