@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--boxes", required=True,
-                   help="';'-separated boxes, 'x'-separated 'a:b' intervals")
+                   help="';'-separated boxes, 'x'-separated 'a:b' intervals; join "
+                        "a value that starts with - by =, as in --boxes=-1:0x0:1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_equidist)
 

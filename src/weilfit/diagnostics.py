@@ -123,7 +123,10 @@ def spectral_gap(M: int, index_set) -> float:
     matrix on the grid with prime modulus M.
 
     Every index must have all components nonzero (the normalization 2^{d+1}
-    is only consistent there); otherwise ValueError.
+    is only consistent there); otherwise ValueError.  The Gram matrix is
+    scaled and shifted in place, so the memory is gram's: ValueError before
+    the product when its 8*(m*N + 2*N*N) bytes exceed physical memory, and
+    the 2-norm's SVD then holds only the N x N matrix and LAPACK's copy.
     """
     idx = as_indices(index_set)
     N, d = idx.shape
@@ -135,8 +138,9 @@ def spectral_gap(M: int, index_set) -> float:
             f"requires all components nonzero"
         )
     grid = weil_grid(M, d)
-    A = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
-    G = (2.0 ** (d + 1) / M) * A - np.eye(N)
+    G = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    G *= 2.0 ** (d + 1) / M
+    G.flat[::N + 1] -= 1.0  # minus the identity
     return float(np.linalg.norm(G, 2))
 
 

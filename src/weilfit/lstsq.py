@@ -105,12 +105,13 @@ def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
 
 
 def _scaled_design(pts, index_set, basis, weights, order="C"):
-    """(w, diag(sqrt(w)) D), with D built by basis_matrix in the memory
-    `order` ("C" or "F") and scaled in place, so D is never held twice."""
+    """(sqrt(w), diag(sqrt(w)) D), with D built by basis_matrix in the
+    memory `order` ("C" or "F") and scaled in place, so D is never held
+    twice."""
     Dw = basis_matrix(basis, index_set, pts, order)
-    w = compute_weights(weights, pts)
-    Dw *= np.sqrt(w)[:, None]
-    return w, Dw
+    sw = np.sqrt(compute_weights(weights, pts))
+    Dw *= sw[:, None]
+    return sw, Dw
 
 
 def _condition_report(s, N) -> ConditionReport:
@@ -131,32 +132,45 @@ def _strict_lower(N):
     return mask
 
 
-def _singular_values(Dw):
-    """Singular values of the column-major m x N matrix Dw, equal bit for bit
-    to np.linalg.svd(Dw, compute_uv=False); Dw is overwritten.
+def _qr_first(m, N):
+    """Whether dgesdd QR-factors an m x N matrix before its SVD: m >= MNTHR
+    = floor(11 N / 6).  The crossover is LAPACK's rule, fixed by the shape;
+    it is not a tuning knob."""
+    return m >= N * 11 // 6
+
+
+def _lapack(routine, *args):
+    """lapack_lite.routine(*args, work, lwork, info) with the optimal
+    workspace from its query (the size dgesdd hands it, which fixes the
+    block size and so the bits); LinAlgError when info != 0."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    work = np.empty(int(work[0]))
+    info = routine(*args, work, work.size, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info = {info}")
+
+
+def _householder(Dw):
+    """(R, tau) of the QR factorization of the column-major m x N matrix Dw,
+    computed in place as dgesdd's first step, or None below its crossover
+    (see _qr_first), where dgesdd bidiagonalizes Dw directly and a QR first
+    would change the last bits.
 
     np.linalg.svd copies its input into a column-major LAPACK buffer and
-    calls dgesdd.  For m >= floor(11 N / 6) (dgesdd's MNTHR) dgesdd takes
-    the singular values in two steps: a QR factorization of A (dgeqrf), then
-    the SVD of the N x N triangular factor R.  Here those two steps run on
-    Dw's own buffer, so the m x N matrix is never copied.  Below that
-    crossover dgesdd bidiagonalizes A directly, and a QR first would change
-    the last bits, so Dw goes to np.linalg.svd as it is.  The crossover is
-    LAPACK's rule, fixed by the shape; it is not a tuning knob.
-    """
+    calls dgesdd, which from the crossover on runs dgeqrf, then takes the SVD
+    of the N x N triangular factor R.  Here dgeqrf runs on Dw's own buffer,
+    so the m x N matrix is never copied: Dw keeps the Householder vectors
+    below its diagonal (dorgqr turns them into Q with tau), and R is a copy
+    of its upper triangle."""
     m, N = Dw.shape
-    if m < N * 11 // 6:
-        return np.linalg.svd(Dw, compute_uv=False)
-    a = Dw.T  # C-contiguous (N, m): Dw in the column-major order LAPACK reads
-    tau, work = np.empty(N), np.empty(1)
-    lapack_lite.dgeqrf(m, N, a, m, tau, work, -1, 0)  # workspace query
-    work = np.empty(int(work[0]))
-    info = lapack_lite.dgeqrf(m, N, a, m, tau, work, work.size, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info = {info}")
-    R = Dw[:N]  # R in the upper triangle, Householder vectors below it
+    if not _qr_first(m, N):
+        return None
+    tau = np.empty(N)
+    _lapack(lapack_lite.dgeqrf, m, N, Dw.T, m, tau)  # Dw.T: (N, m), C-contiguous
+    R = Dw[:N].copy()
     np.copyto(R, 0.0, where=_strict_lower(N))
-    return np.linalg.svd(R, compute_uv=False)
+    return R, tau
 
 
 def condition(pts, index_set, basis: BasisSpec,
@@ -166,7 +180,7 @@ def condition(pts, index_set, basis: BasisSpec,
 
     The scaled design is built column-major and, when it is tall enough
     (m >= floor(11 N / 6)), QR-factored in place before the SVD of its
-    triangular factor (see _singular_values): the m x N matrix is held once,
+    triangular factor (see _householder): the m x N matrix is held once,
     never copied, and the singular values equal those of
     np.linalg.svd(D * sqrt(w)[:, None], compute_uv=False) bit for bit.
 
@@ -174,7 +188,37 @@ def condition(pts, index_set, basis: BasisSpec,
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
     _, Dw = _scaled_design(pts, index_set, basis, weights, order="F")
-    return _condition_report(_singular_values(Dw), Dw.shape[1])
+    qr = _householder(Dw)
+    s = np.linalg.svd(Dw if qr is None else qr[0], compute_uv=False)
+    return _condition_report(s, Dw.shape[1])
+
+
+def _svd(Dw):
+    """U, s, Vt of the m x N matrix Dw, equal bit for bit to
+    np.linalg.svd(Dw, full_matrices=False), with U row-major as numpy gives
+    it.  From the crossover on (see _qr_first) Dw must be column-major; it
+    is overwritten and ends up holding U.
+
+    There dgesdd (path 3) factors Dw = QR, forms Q with dorgqr, takes the
+    SVD R = Ur diag(s) Vt and multiplies Q by Ur with one dgemm.  These
+    steps run here on Dw's own buffer; with Ur column-major, (Ur.T @ Q.T).T
+    is that same dgemm, and other spellings of Q @ Ur differ in the last bits.
+    numpy then copies U row-major, which fixes the bits of U.T @ b; that
+    copy goes into Q's buffer, as Q is spent.  So the m x N matrix is held
+    twice at the peak (Q and dgemm's U), not four times (D, LAPACK's copy of
+    it, LAPACK's U and numpy's)."""
+    qr = _householder(Dw)
+    if qr is None:
+        return np.linalg.svd(Dw, full_matrices=False)
+    m, N = Dw.shape
+    Ur, s, Vt = np.linalg.svd(qr[0])
+    tau = qr[1]
+    del qr  # and with it R
+    Ur = np.asfortranarray(Ur)
+    _lapack(lapack_lite.dorgqr, m, N, N, Dw.T, m, tau)
+    U = Dw.T.reshape(-1).reshape(m, N)  # Q's buffer, row-major
+    U[...] = (Ur.T @ Dw.T).T
+    return U, s, Vt
 
 
 def solve(pts, fvals, index_set, basis: BasisSpec,
@@ -193,12 +237,26 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
     Returns
     -------
-    FitResult.  Raises ValueError if npts < N (under-determined), if a
-    point or value is not finite, or, before D is built, if the solve's
-    4*8*npts*N bytes exceed physical memory (D, the copy LAPACK factors, and
-    U twice: LAPACK's column-major U and its row-major copy).  Raises
-    SingularSystemError if the scaled design matrix has relative singular
-    values below 1e-12.
+    FitResult.  With Dw the scaled design and b = sqrt(w) f, the
+    coefficients, residual and condition report are, bit for bit, those of
+    U, s, Vt = np.linalg.svd(Dw, full_matrices=False), coeffs = Vt.T @
+    ((U.T @ b) / s) and |b - Dw @ coeffs|.
+
+    From dgesdd's crossover npts >= floor(11 N / 6) on, Dw is built
+    column-major and QR-factored in place, and its buffer ends up holding U
+    (see _svd); after the coefficients, U is freed and Dw rebuilt row-major
+    for the residual.  So the npts x N matrix is held twice at the peak, and
+    the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes (the design and
+    U, the weights, values and scaled values, and three N x N factors),
+    tracemalloc's peak up to the few 256 KiB block temporaries of the
+    design's assembly.  Below the crossover it is 4*8*npts*N bytes: D, the
+    copy LAPACK factors, and U twice (LAPACK's column-major U and numpy's
+    row-major copy).
+
+    Raises ValueError if npts < N (under-determined), if a point or value is
+    not finite, or, before D is built, if that check exceeds physical
+    memory.  Raises SingularSystemError if the scaled design matrix has
+    relative singular values below 1e-12.
     """
     arr = point_array(pts)
     m, N = arr.shape[0], as_indices(index_set).shape[0]
@@ -209,10 +267,12 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         raise ValueError("function values must be finite")
     if m < N:
         raise ValueError(f"under-determined system: {m} points for {N} basis functions")
-    check_memory(f"the {m} x {N} least-squares solve", 4 * 8 * m * N)
-    w, Dw = _scaled_design(arr, index_set, basis, weights)
-    bw = f * np.sqrt(w)
-    U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
+    in_place = _qr_first(m, N)
+    need = 8 * (2 * m * N + 3 * m + 3 * N * N) if in_place else 4 * 8 * m * N
+    check_memory(f"the {m} x {N} least-squares solve", need)
+    sw, Dw = _scaled_design(arr, index_set, basis, weights, "F" if in_place else "C")
+    bw = f * sw
+    U, s, Vt = _svd(Dw)
     report = _condition_report(s, N)
     if not np.isfinite(report.cond_D) or s[-1] <= RANK_TOL * s[0]:
         raise SingularSystemError(
@@ -220,6 +280,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
             report,
         )
     coeffs = Vt.T @ ((U.T @ bw) / s)
+    if in_place:  # Dw holds U; the residual's bits need Dw row-major
+        del U, Dw
+        _, Dw = _scaled_design(arr, index_set, basis, weights)
     residual = float(np.linalg.norm(bw - Dw @ coeffs))
     return FitResult(coeffs, index_set, basis, residual, report)
 

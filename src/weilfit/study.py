@@ -57,7 +57,9 @@ class StudyConfig:
     seed: int = 0
     target: str = "expsum"
     coeffs: str = field(  # empty = the published set
-        default="", metadata={"help": "comma-separated target coefficients"})
+        default="", metadata={"help": "comma-separated target coefficients; join a "
+                                      "value that starts with - by =, as in "
+                                      "--coeffs=-0.5,1.0"})
     coeff_seed: int = -1    # -1 = unset
     n_test: int = 2000
 
@@ -191,9 +193,11 @@ def run(cfg: StudyConfig, values):
     cell with m < N reads inf.  A cell past the modulus limit raises
     ValueError before any cell is evaluated, and before the first
     repetition of a cell, a design of more than physical memory raises
-    ValueError naming the cell.  That check asks room for 2*8*m*N bytes, D
-    plus headroom: cond-study holds D once (lstsq.condition factors it in
-    place), and lstsq.solve checks the 4*8*m*N bytes its SVD holds itself.
+    ValueError naming the cell.  That check asks room for 2*8*m*N bytes:
+    cond-study holds D once (lstsq.condition factors it in place), and from
+    dgesdd's crossover m >= floor(11 N / 6) on, lstsq.solve holds it twice
+    (D's buffer ends up holding U next to the product that forms it); below
+    the crossover lstsq.solve checks the 4*8*m*N bytes its SVD holds.
     """
     cells = [(q,) + realize_cell(cfg, q) for q in range(cfg.q_min, cfg.q_max + 1)]
 

@@ -120,7 +120,28 @@ def test_study_flags_are_the_study_config_fields(command):
         assert a.type is _flag_type(name)
         assert a.choices == (list(CHOICES[name]) if name in CHOICES else None)
         assert a.default is None  # unset, so a config file applies
-    assert actions["coeffs"].help == "comma-separated target coefficients"
+    assert actions["coeffs"].help == ("comma-separated target coefficients; join a value "
+                                      "that starts with - by =, as in --coeffs=-0.5,1.0")
+
+
+def test_a_flag_value_that_starts_with_a_dash_needs_the_equals_form(tmp_path, capsys):
+    # argparse reads -0.5,1.0 as an option, as it is not a plain number
+    out = tmp_path / "conv.csv"
+    argv = ["conv-study", "--d", "2", "--q-max", "2", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--coeffs", "-0.5,1.0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "weilfit conv-study: error: argument --coeffs: expected one argument"]
+    assert not out.exists()
+    assert main(argv + ["--coeffs=-0.5,1.0"]) == 0
+    lines = out.read_text().splitlines()
+    assert "# coeffs=-0.5,1.0" in lines and "# target_coeffs=-0.5,1.0" in lines
+    boxes = next(a for a in _subparser("equidist")._actions if a.dest == "boxes")
+    assert "--boxes=-1:0x0:1" in boxes.help
+    assert main(["equidist", "--M", "101", "--d", "2", "--boxes=-1:0x0:1",
+                 "--out", str(tmp_path / "eq.csv")]) == 0
 
 
 def test_fit_takes_the_five_basis_settings_with_study_config_defaults():
@@ -401,8 +422,9 @@ def test_study_larger_than_physical_memory_exits_2_without_output(tmp_path, caps
 
 def test_conv_study_cell_whose_solve_exceeds_physical_memory_exits_2(tmp_path, capsys,
                                                                      monkeypatch):
-    # memory for three designs of the largest cell: the cell's own check
-    # (two) passes, the solve's (four: D, LAPACK's copy, U twice) refuses
+    # memory for three designs of the largest cell (30 x 15): the cell's own
+    # check (two) passes, the solve's (two, plus 3 vectors of m and 3 N x N
+    # matrices: 13320 bytes against 10800) refuses
     argv = ["conv-study", "--d", "2", "--q-max", "4", "--scaling", "linear", "--c", "2",
             "--n-test", "100"]
     _, N, m, _ = realize_cell(StudyConfig(d=2, q_max=4, scaling="linear", c=2.0), 4)

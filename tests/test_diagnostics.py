@@ -141,6 +141,27 @@ def test_spectral_gap_below_half_under_modulus_rule():
     assert spectral_gap(4099, idx) < 0.5
 
 
+def test_spectral_gap_holds_no_more_than_gram_checks(monkeypatch):
+    # N = 900 > m = 106, so the four N x N arrays that (2^{d+1}/M) A - I
+    # held out of place came to twice gram's check; in place it is gram's
+    # peak, B, A and A + A.T, within its few 256 KiB block temporaries
+    idx = [(i, j) for i in range(1, 31) for j in range(1, 31)]
+    M, N = 211, len(idx)
+    need = 8 * ((M // 2 + 1) * N + 2 * N * N)
+    tracemalloc.start()
+    try:
+        gap = spectral_gap(M, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need + 2**18
+    A = gram(weil_grid(M, 2), idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    assert gap == float(np.linalg.norm((2.0 ** 3 / M) * A - np.eye(N), 2))
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^the 900 x 900 Gram matrix needs "):
+        spectral_gap(M, idx)
+
+
 def test_spectral_gap_rejects_zero_components():
     with pytest.raises(ValueError):
         spectral_gap(67, [(1, 0), (1, 1)])

@@ -14,7 +14,7 @@ from weilfit.indexsets import KINDS, build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
                            WeightScheme, compute_weights, condition,
                            evaluate_fit, gram, solve)
-from weilfit.pointgen import mc_sample, weil_grid
+from weilfit.pointgen import mc_sample, nearest_prime, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, basis_matrix, eval_tensor)
 from weilfit.study import StudyConfig, cell_points, realize_cell
@@ -191,6 +191,66 @@ def test_condition_equals_the_full_svd_at_one_blas_thread():
     _run_at_one_blas_thread("import test_lstsq\ntest_lstsq.condition_equals_the_full_svd()\n")
 
 
+def _solve_by_the_full_svd(pts, f, idx, spec, weights):
+    """(coefficients, residual_norm, report) by the SVD of the whole scaled
+    design, or (None, None, report) when it is singular: solve's formula
+    before it factored the design in place."""
+    sw = np.sqrt(compute_weights(weights, pts))
+    Dw = basis_matrix(spec, idx, pts)
+    Dw *= sw[:, None]
+    bw = f * sw
+    U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
+    cond_D = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
+    report = ConditionReport(cond_D, cond_D * cond_D)
+    if not math.isfinite(cond_D) or s[-1] <= 1e-12 * s[0]:
+        return None, None, report
+    coeffs = Vt.T @ ((U.T @ bw) / s)
+    return coeffs, float(np.linalg.norm(bw - Dw @ coeffs)), report
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(spec=st.sampled_from(SPECS),
+       weights=st.sampled_from([UNIT_WEIGHTS, WeightScheme("density_ratio", "uniform")]),
+       kind=st.sampled_from(KINDS), d=st.integers(1, 4),
+       points=st.sampled_from(["weil", "mc", "repeated"]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def solve_equals_the_full_svd(spec, weights, kind, d, points, data, seed):
+    """solve gives the coefficients, residual_norm, cond_D and cond_A of the
+    SVD of the whole scaled design, float for float, on both sides of
+    dgesdd's QR crossover m = floor(11 N / 6), and raises
+    SingularSystemError with the same report where that SVD is singular
+    ("repeated": N - 1 distinct points, so rank below N).  Run at one BLAS
+    thread (see the test below)."""
+    idx = build_index_set(kind, data.draw(st.integers(0, _MAX_Q[kind][d])), d)
+    N = len(idx)
+    m = data.draw(st.sampled_from([max(N, N * 11 // 6 - 1), N * 11 // 6,
+                                   N * 11 // 6 + 1, 2 * N, 8 * N + 3]))
+    rng = np.random.default_rng(seed)
+    if points == "weil":  # the first m rows of a grid with at least m
+        M = nearest_prime(4 * m + 3)
+        pts = weil_grid(M, d).points[:m]
+    elif points == "mc":
+        pts = rng.uniform(-1.0, 1.0, (m, d))
+        pts[rng.random(pts.shape) < 0.05] = 1.0  # zero weight under density_ratio
+    else:
+        pts = rng.uniform(-1.0, 1.0, (max(N - 1, 1), d))[rng.integers(0, max(N - 1, 1), m)]
+    f = np.cos(pts @ rng.standard_normal(d)) + 0.5
+    coeffs, residual, report = _solve_by_the_full_svd(pts, f, idx, spec, weights)
+    if coeffs is None:
+        with pytest.raises(SingularSystemError) as err:
+            solve(pts, f, idx, spec, weights)
+        assert err.value.condition_report == report
+        return
+    fit = solve(pts, f, idx, spec, weights)
+    assert np.array_equal(fit.coefficients, coeffs)
+    assert fit.residual_norm == residual
+    assert fit.condition_report == report
+
+
+def test_solve_equals_the_full_svd_at_one_blas_thread():
+    _run_at_one_blas_thread("import test_lstsq\ntest_lstsq.solve_equals_the_full_svd()\n")
+
+
 def test_condition_factors_in_place_from_the_crossover_on(monkeypatch):
     # TD q=3, d=2: N = 10, crossover at m = 18.  From there np.linalg.svd
     # sees only the N x N triangular factor; below it, the whole design.
@@ -203,35 +263,97 @@ def test_condition_factors_in_place_from_the_crossover_on(monkeypatch):
     assert shapes == [(17, 10), (10, 10), (10, 10), (10, 10)]
 
 
+# The child's peak RSS in KiB.  VmHWM starts afresh at exec; ru_maxrss,
+# the fallback where /proc is missing, keeps the high-water mark of the
+# test process that spawned the child, which can hide the growth measured.
+_PEAK_RSS = (
+    "import resource\n"
+    "def peak_rss():\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as fh:\n"
+    "            return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+    "    except OSError:\n"
+    "        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+)
+
+
 def test_condition_holds_the_design_once():
     # a 24000 x 330 design (63 MB): the peak grows by D and the 6 MB of 1-d
     # tables, not by a second copy of D
-    ratio = float(_run_at_one_blas_thread(
-        "import resource\n"
+    ratio = float(_run_at_one_blas_thread(_PEAK_RSS + (
         "import numpy as np\n"
         "from weilfit import CHEBYSHEV_ORTHONORMAL as S, build_index_set\n"
         "from weilfit.lstsq import condition\n"
         "idx = build_index_set('TD', 7, 4)\n"
         "pts = np.random.default_rng(0).uniform(-1, 1, (24000, 4))\n"
         "condition(pts[:1000], idx, S)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak_rss()\n"
         "condition(pts, idx, S)\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print((after - before) * 1024 / (8 * 24000 * len(idx)))\n"))
+        "print((peak_rss() - before) * 1024 / (8 * 24000 * len(idx)))\n")))
     assert ratio < 1.5
 
 
 def test_solve_checks_the_memory_of_four_designs(monkeypatch):
-    # D, the copy LAPACK factors and U twice; condition holds D once
+    # below the crossover (m = 17 < floor(11 * 10 / 6) = 18): D, the copy
+    # LAPACK factors and U twice; condition holds D once
     idx = build_index_set("TD", 3, 2)
-    g = weil_grid(211, 2)
-    design = 8 * g.n_points * len(idx)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (17, 2))
+    design = 8 * 17 * len(idx)
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 3 * design)
-    condition(g, idx, CHEBYSHEV_ORTHONORMAL)
-    with pytest.raises(ValueError, match=r"^the 106 x 10 least-squares solve needs "):
-        solve(g, np.ones(g.n_points), idx, CHEBYSHEV_ORTHONORMAL)
+    condition(pts, idx, CHEBYSHEV_ORTHONORMAL)
+    with pytest.raises(ValueError, match=r"^the 17 x 10 least-squares solve needs "):
+        solve(pts, np.ones(17), idx, CHEBYSHEV_ORTHONORMAL)
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 4 * design)
-    solve(g, np.ones(g.n_points), idx, CHEBYSHEV_ORTHONORMAL)
+    solve(pts, np.ones(17), idx, CHEBYSHEV_ORTHONORMAL)
+
+
+def _solve_check(m, N):
+    """The bytes solve checks: from the crossover on, the design twice, 3
+    vectors of m and 3 N x N matrices; below it, the design four times."""
+    if m >= N * 11 // 6:
+        return 8 * (2 * m * N + 3 * m + 3 * N * N)
+    return 4 * 8 * m * N
+
+
+# TD q=7, d=4: N = 330, the crossover is m = 605
+@pytest.mark.parametrize("m", [604, 605, 4000])
+def test_solve_peak_is_within_its_memory_check(m, monkeypatch):
+    idx = build_index_set("TD", 7, 4)
+    N = len(idx)
+    pts = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 4))
+    f = np.cos(pts.sum(axis=1))
+    need = _solve_check(m, N)
+    tracemalloc.start()
+    try:
+        solve(pts, f, idx, LEGENDRE_ORTHONORMAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    if m >= 605:  # the design and U, formed next to it
+        assert 2 * 8 * m * N < peak
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=rf"^the {m} x {N} least-squares solve needs "):
+        solve(pts, f, idx, LEGENDRE_ORTHONORMAL)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need)
+    solve(pts, f, idx, LEGENDRE_ORTHONORMAL)
+
+
+def test_solve_holds_the_design_twice_from_the_crossover_on():
+    # a 12000 x 330 design (32 MB): the peak grows by D and U, not by
+    # LAPACK's copy of D and two copies of U as well
+    ratio = float(_run_at_one_blas_thread(_PEAK_RSS + (
+        "import numpy as np\n"
+        "from weilfit import CHEBYSHEV_ORTHONORMAL as S, build_index_set\n"
+        "from weilfit.lstsq import solve\n"
+        "idx = build_index_set('TD', 7, 4)\n"
+        "pts = np.random.default_rng(0).uniform(-1, 1, (12000, 4))\n"
+        "f = np.cos(pts.sum(axis=1))\n"
+        "solve(pts[:1000], f[:1000], idx, S)\n"
+        "before = peak_rss()\n"
+        "solve(pts, f, idx, S)\n"
+        "print((peak_rss() - before) * 1024 / (8 * 12000 * len(idx)))\n")))
+    assert ratio < 2.5
 
 
 def test_solve_singular_system():
