@@ -1,10 +1,13 @@
-"""The study CSVs of the benchmark workloads, byte for byte.
+"""The study CSVs of the benchmark workloads and check-bounds' output, byte
+for byte.
 
 Runs the argv of each workload of bench/spec.json (`conv-eval`, `conv-quad`,
 `cond-quad`, `mc-reps`) at --seed 0 in a subprocess pinned to one BLAS
 thread and compares the output with the committed
 bench/reference/<workload>/seed-0.csv, so a change of one bit in a study CSV
-fails here and not only in the benchmark.  Only reads bench/.
+fails here and not only in the benchmark.  Only reads bench/.  Likewise two
+check-bounds runs are compared, CSV and stdout, with
+tests/reference/check-bounds/<name>.csv and .stdout.
 """
 
 import json
@@ -19,9 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "bench" / "spec.json").read_text())
 
 
-def _check_against_the_reference(workload, tmp_path):
-    out = tmp_path / "study.csv"
-    argv = SPEC["workloads"][workload]["argv"] + ["--seed", "0", "--out", str(out)]
+def _run_cli(argv):
+    """weilfit.cli with argv in a subprocess at one BLAS thread; exit 0."""
     src = str(ROOT / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
@@ -29,6 +31,12 @@ def _check_against_the_reference(workload, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "weilfit.cli"] + argv, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _check_against_the_reference(workload, tmp_path):
+    out = tmp_path / "study.csv"
+    _run_cli(SPEC["workloads"][workload]["argv"] + ["--seed", "0", "--out", str(out)])
     reference = ROOT / "bench" / "reference" / workload / "seed-0.csv"
     assert out.read_bytes() == reference.read_bytes()
 
@@ -41,3 +49,16 @@ def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
 @pytest.mark.parametrize("workload", ["cond-quad", "mc-reps"])
 def test_cond_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
     _check_against_the_reference(workload, tmp_path)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("default", ["--dims", "1,2,3", "--orders", "1,2,3"]),
+    ("seed-7-strict", ["--dims", "2,3", "--orders", "0,1", "--seed", "7", "--strict"]),
+])
+def test_check_bounds_output_is_byte_identical_to_the_reference(name, argv, tmp_path):
+    out = tmp_path / "bounds.csv"
+    stdout = _run_cli(["check-bounds"] + argv + ["--out", str(out)])
+    reference = ROOT / "tests" / "reference" / "check-bounds" / name
+    assert out.read_bytes() == reference.with_suffix(".csv").read_bytes()
+    assert stdout.replace(f" to {out}\n", " to <out>\n") == \
+        reference.with_suffix(".stdout").read_text()
