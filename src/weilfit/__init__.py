@@ -22,8 +22,9 @@ from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
 from .lstsq import (ConditionReport, FitResult, SingularSystemError,
                     UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
                     evaluate_fit, gram, solve)
-from .diagnostics import (ErrorReport, GramBoundReport, check_gram_bounds,
-                          l2_error, reference_projection, spectral_gap)
+from .diagnostics import (ErrorReport, GramBoundReport, check_bounds,
+                          check_gram_bounds, l2_error, reference_projection,
+                          spectral_gap)
 from . import targets
 from .study import StudyConfig, realize_cell
 
@@ -41,8 +42,8 @@ __all__ = [
     "ConditionReport", "FitResult", "SingularSystemError", "UNIT_WEIGHTS",
     "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
     "solve",
-    "ErrorReport", "GramBoundReport", "check_gram_bounds", "l2_error",
-    "reference_projection", "spectral_gap",
+    "ErrorReport", "GramBoundReport", "check_bounds", "check_gram_bounds",
+    "l2_error", "reference_projection", "spectral_gap",
     "StudyConfig", "realize_cell",
     "targets",
     "__version__",

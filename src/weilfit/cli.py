@@ -10,8 +10,8 @@ equidist     box-counting vs the product arcsine measure
 check-bounds run the Gram-bound / spectral-gap / exponential-sum suites
 
 Exit codes: 0 success, 2 invalid arguments or malformed input, or a request
-too large for memory (MemoryError), 3 numerical failure (singular system),
-4 I/O error.
+too large for memory (MemoryError), 3 numerical failure (singular system) or
+a failed check under `check-bounds --strict`, 4 I/O error.
 
 Every output CSV starts with `# key=value` comment lines echoing the full
 resolved configuration, enough to re-run the command.  Floats are written as
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import typing
 from dataclasses import fields
@@ -34,7 +33,7 @@ from . import diagnostics, study, targets
 from .indexsets import build_index_set
 from .lstsq import SingularSystemError, condition, solve
 from .pointgen import (MAX_MODULUS, arcsine_box_measure, equidist_box_fraction,
-                       is_prime, nearest_prime, weil_exponential_sum, weil_grid)
+                       nearest_prime, weil_grid)
 
 # The StudyConfig settings `fit` takes: the basis and the row weights.
 _BASIS_SETTINGS = ("space", "family", "normalization", "weights", "target_density")
@@ -50,11 +49,6 @@ def _write_csv(path, comments, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _study_row(q, N, m, M, val):
-    assert is_prime(M) and m == M // 2 + 1  # emit-time bookkeeping check
-    return [q, N, m, M, repr(float(val)) if np.isfinite(val) else "inf"]
-
-
 def _write_study(args, cfg, colname, values, comments=()):
     """Run the study, then write its CSV: the config echo, `comments`, one
     `# rep` line per repetition when there are several, and the rows."""
@@ -63,7 +57,8 @@ def _write_study(args, cfg, colname, values, comments=()):
     if cfg.repetitions > 1:
         lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
     _write_csv(args.out, lines, ["q", "N", "m", "M", colname],
-               [_study_row(*row) for row in rows])
+               [[q, N, m, M, repr(float(v)) if np.isfinite(v) else "inf"]
+                for q, N, m, M, v in rows])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -88,47 +83,44 @@ def cmd_points(args) -> int:
     return 0
 
 
-def _read_points_csv(path):
-    """Rows j,y1,...,yd; the `j,...` header or else the first row fixes d."""
+def _read_csv(path, kind, fields):
+    """The float rows of a CSV of `kind` rows, as an array.  Blank and `#`
+    lines are skipped; fields(lineno, line) gives a row's float texts, or
+    None for a header.  ValueError names a malformed row, or no rows."""
     rows = []
-    d = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if d is None:
-                d = len(parts) - 1
-            elif len(parts) - 1 != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} coordinates")
-            if parts[0] == "j":
+            if not line or line.startswith("#") or (texts := fields(lineno, line)) is None:
                 continue
             try:
-                rows.append([float(v) for v in parts[1:]])
+                rows.append([float(v) for v in texts])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed point row {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: malformed {kind} row {line!r}")
     if not rows:
-        raise ValueError(f"{path}: no point rows found")
+        raise ValueError(f"{path}: no {kind} rows found")
     return np.asarray(rows)
 
 
+def _read_points_csv(path):
+    """Rows j,y1,...,yd; the `j,...` header or else the first row fixes d."""
+    d = None
+
+    def fields(lineno, line):
+        nonlocal d
+        parts = line.split(",")
+        d = len(parts) - 1 if d is None else d
+        if len(parts) - 1 != d:
+            raise ValueError(f"{path}:{lineno}: expected {d} coordinates")
+        return None if parts[0] == "j" else parts[1:]
+
+    return _read_csv(path, "point", fields)
+
+
 def _read_values_csv(path):
-    vals = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line in ("f", "value", "values"):
-                continue
-            try:
-                vals.append(float(line.split(",")[0]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed value row {raw.strip()!r}")
-    if not vals:
-        raise ValueError(f"{path}: no value rows found")
-    return np.asarray(vals)
+    """The first field of each row; a header `f`, `value` or `values` is skipped."""
+    return _read_csv(path, "value", lambda lineno, line: None if line in (
+        "f", "value", "values") else line.split(",")[:1])[:, 0]
 
 
 def cmd_fit(args) -> int:
@@ -192,7 +184,7 @@ def cmd_conv_study(args) -> int:
 
 def parse_boxes(text: str, d: int):
     """Boxes: ';' between boxes, 'x' between coordinates, 'a:b' per interval,
-    e.g. '0:0.5x0:0.5;-1:0x-1:1'."""
+    e.g. '0:1x-1:0;-1:0x-1:1'."""
     boxes = []
     for token in text.split(";"):
         token = token.strip()
@@ -228,62 +220,30 @@ def cmd_equidist(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
-    ds = [int(t) for t in args.dims.split(",")]
-    qs = [int(t) for t in args.orders.split(",")]
-    reports = []
-    for d in ds:
-        for q in qs:
-            index_set = build_index_set("TD", q, d)
-            first = 2 * q + 2  # smallest prime beyond the bound hypothesis
-            while not is_prime(first):
-                first += 1
-            # 97 and 997 join only where they meet the hypothesis M > 2q+1
-            moduli = {first} | {p for p in (97, 997) if p > 2 * q + 1}
-            for M in sorted(moduli):
-                reports.append(diagnostics.check_gram_bounds(M, index_set, restrict_nonzero=True))
+    # lazy maps: check_bounds refuses a negative seed before a malformed list
+    grams, gaps, sums = diagnostics.check_bounds(map(int, args.dims.split(",")),
+                                                 map(int, args.orders.split(",")),
+                                                 args.seed)
     _write_csv(args.out,
                [f"dims={args.dims}", f"orders={args.orders}", "basis=chebyshev/classical",
                 "weights=unit"],
                ["M", "d", "q", "max_offdiag", "offdiag_bound", "diag_min", "diag_max", "pass"],
                [[r.M, r.d, r.q, repr(r.max_offdiag_abs), repr(r.offdiag_bound),
                  repr(r.diag_min), repr(r.diag_max), "true" if r.passed else "false"]
-                for r in reports])
-    n_fail = sum(1 for r in reports if not r.passed)
-    for r in reports:
-        if r.passed:
-            status = "pass"
-        else:
-            parts = [name for name, ok in
-                     [("offdiag", r.offdiag_pass), ("diag", r.diag_pass)] if not ok]
-            status = "FAIL(" + ",".join(parts) + ")"
-        print(f"gram-bounds d={r.d} q={r.q} M={r.M}: {status} "
+                for r in grams])
+    for r in grams:
+        failed = [name for name, ok in (("offdiag", r.offdiag_pass), ("diag", r.diag_pass))
+                  if not ok]
+        print(f"gram-bounds d={r.d} q={r.q} M={r.M}: "
+              f"{'FAIL(' + ','.join(failed) + ')' if failed else 'pass'} "
               f"(max_offdiag={r.max_offdiag_abs:.4f} bound={r.offdiag_bound:.4f} "
               f"diag=[{r.diag_min:.4f},{r.diag_max:.4f}] "
               f"target=[{r.diag_bounds[0]:.4f},{r.diag_bounds[1]:.4f}])")
-
-    gap1 = diagnostics.spectral_gap(67, [(1,), (2,)])
-    gap2 = diagnostics.spectral_gap(4099, [(1, 1), (1, 2), (2, 1), (2, 2)])
-    ok1, ok2 = gap1 <= 0.5, gap2 <= 0.5
-    print(f"spectral-gap d=1 M=67: {gap1:.6f} {'pass' if ok1 else 'FAIL'}")
-    print(f"spectral-gap d=2 M=4099: {gap2:.6f} {'pass' if ok2 else 'FAIL'}")
-
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    n_sum_fail = 0
-    for _ in range(48):
-        M = int(rng.choice([101, 499, 997, 2309, 10007]))
-        deg = int(rng.integers(1, 7))
-        coeffs = rng.integers(-10, 11, deg)
-        while all(int(c) % M == 0 for c in coeffs):
-            coeffs = rng.integers(-10, 11, deg)
-        s = weil_exponential_sum([int(c) for c in coeffs], M)
-        if abs(s) > (deg - 1) * math.sqrt(M) + 1e-9:
-            n_sum_fail += 1
-    print(f"exponential-sum bound, 48 draws: {'pass' if n_sum_fail == 0 else 'FAIL'}")
-
-    n_fail += (not ok1) + (not ok2) + n_sum_fail
-    print(f"wrote {len(reports)} rows to {args.out}")
+    for d, M, gap, ok in gaps:
+        print(f"spectral-gap d={d} M={M}: {gap:.6f} {'pass' if ok else 'FAIL'}")
+    print(f"exponential-sum bound, {len(sums)} draws: {'pass' if all(sums) else 'FAIL'}")
+    print(f"wrote {len(grams)} rows to {args.out}")
+    n_fail = sum(not ok for ok in [r.passed for r in grams] + [g[-1] for g in gaps] + sums)
     if args.strict and n_fail:
         print(f"{n_fail} check(s) failed", file=sys.stderr)
         return 3

@@ -1,6 +1,7 @@
 """Quantitative checks for least squares on the deterministic grids.
 
-The checks quantify three facts that make the grids work:
+The checks quantify three facts that make the grids work (`check_bounds`
+runs the first two, and Weil's bound itself, as `weilfit check-bounds`):
 
 * Gram entry bounds.  With the classical Chebyshev basis and unit weights on
   a grid with prime modulus M > 2q+1, every off-diagonal Gram entry obeys
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexsets import as_indices
+from .indexsets import as_indices, build_index_set
 from .lstsq import UNIT_WEIGHTS, FitResult, gram
-from .pointgen import check_memory, mc_sample, weil_grid
+from .pointgen import (check_memory, is_prime, mc_sample, weil_exponential_sum,
+                       weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix,
                         evaluate_expansions)
 
@@ -80,11 +82,7 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     A = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
 
     off_bound = ((d - 1) * math.sqrt(M) + 1.0) / 2.0
-    if N > 1:
-        off = A[~np.eye(N, dtype=bool)]
-        max_off = float(np.max(np.abs(off)))
-    else:
-        max_off = 0.0
+    max_off = float(np.max(np.abs(A[~np.eye(N, dtype=bool)]), initial=0.0))
     offdiag_pass = max_off <= off_bound + FP_TOL
 
     radius = (d - 1) * math.sqrt(M) / 2.0
@@ -142,6 +140,42 @@ def spectral_gap(M: int, index_set) -> float:
     G *= 2.0 ** (d + 1) / M
     G.flat[::N + 1] -= 1.0  # minus the identity
     return float(np.linalg.norm(G, 2))
+
+
+def check_bounds(dims, orders, seed: int = 0):
+    """The suites of `weilfit check-bounds`, (grams, gaps, sums), each check
+    with its pass flag.  grams: check_gram_bounds of TD(q) in dimension d for
+    each d in dims and q in orders, at each modulus M > 2q+1 of the first
+    prime above 2q+1, 97 and 997.  gaps: (d, M, gap, gap <= 1/2) for two
+    fixed spectral_gap cases.  sums: |S| <= (degree-1) sqrt(M) for the Weil
+    sums S of 48 random polynomials drawn with `seed`.  ValueError if
+    seed < 0, before the (possibly lazy) dims and orders are read."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    dims, orders = list(dims), list(orders)
+    grams = []
+    for d in dims:
+        for q in orders:
+            index_set = build_index_set("TD", q, d)
+            first = 2 * q + 2  # smallest prime beyond the bound hypothesis
+            while not is_prime(first):
+                first += 1
+            for M in sorted({first} | {p for p in (97, 997) if p > 2 * q + 1}):
+                grams.append(check_gram_bounds(M, index_set))
+    gaps = [(d, M, gap, gap <= 0.5) for d, M, index_set in
+            ((1, 67, [(1,), (2,)]), (2, 4099, [(1, 1), (1, 2), (2, 1), (2, 2)]))
+            for gap in [spectral_gap(M, index_set)]]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sums = []
+    for _ in range(48):
+        M = int(rng.choice([101, 499, 997, 2309, 10007]))
+        deg = int(rng.integers(1, 7))
+        coeffs = rng.integers(-10, 11, deg)
+        while all(int(c) % M == 0 for c in coeffs):
+            coeffs = rng.integers(-10, 11, deg)
+        s = weil_exponential_sum([int(c) for c in coeffs], M)
+        sums.append(abs(s) <= (deg - 1) * math.sqrt(M) + FP_TOL)
+    return grams, gaps, sums
 
 
 def _quad_rule_1d(family: str, level: int):

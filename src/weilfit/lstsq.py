@@ -254,9 +254,10 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     row-major copy).
 
     Raises ValueError if npts < N (under-determined), if a point or value is
-    not finite, or, before D is built, if that check exceeds physical
-    memory.  Raises SingularSystemError if the scaled design matrix has
-    relative singular values below 1e-12.
+    not finite, if the values overflow the solve (a coefficient or the
+    residual is not finite), or, before D is built, if that check exceeds
+    physical memory.  Raises SingularSystemError if the scaled design matrix
+    has relative singular values below 1e-12.
     """
     arr = point_array(pts)
     m, N = arr.shape[0], as_indices(index_set).shape[0]
@@ -271,7 +272,6 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     need = 8 * (2 * m * N + 3 * m + 3 * N * N) if in_place else 4 * 8 * m * N
     check_memory(f"the {m} x {N} least-squares solve", need)
     sw, Dw = _scaled_design(arr, index_set, basis, weights, "F" if in_place else "C")
-    bw = f * sw
     U, s, Vt = _svd(Dw)
     report = _condition_report(s, N)
     if not np.isfinite(report.cond_D) or s[-1] <= RANK_TOL * s[0]:
@@ -279,11 +279,15 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
             f"rank-deficient least-squares system (cond_D = {report.cond_D:.3e})",
             report,
         )
-    coeffs = Vt.T @ ((U.T @ bw) / s)
-    if in_place:  # Dw holds U; the residual's bits need Dw row-major
-        del U, Dw
-        _, Dw = _scaled_design(arr, index_set, basis, weights)
-    residual = float(np.linalg.norm(bw - Dw @ coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        bw = f * sw
+        coeffs = Vt.T @ ((U.T @ bw) / s)
+        if in_place:  # Dw holds U; the residual's bits need Dw row-major
+            del U, Dw
+            _, Dw = _scaled_design(arr, index_set, basis, weights)
+        residual = float(np.linalg.norm(bw - Dw @ coeffs))
+    if not (np.isfinite(coeffs).all() and math.isfinite(residual)):
+        raise ValueError("the function values overflow the least-squares solve")
     return FitResult(coeffs, index_set, basis, residual, report)
 
 

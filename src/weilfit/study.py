@@ -22,8 +22,8 @@ import numpy as np
 from . import targets
 from .indexsets import KINDS, build_index_set
 from .lstsq import TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, WeightScheme
-from .pointgen import (MAX_MODULUS, check_memory, mc_sample, nearest_prime,
-                       weil_grid)
+from .pointgen import (MAX_MODULUS, check_memory, is_prime, mc_sample,
+                       nearest_prime, weil_grid)
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
@@ -215,6 +215,7 @@ def run(cfg: StudyConfig, values):
             for q, index_set, N, m, M in cells for rep in range(R)]
     rows = [(q, N, m, M, float(np.mean(vals[k * R:(k + 1) * R])))
             for k, (q, index_set, N, m, M) in enumerate(cells)]
+    assert all(is_prime(M) and m == M // 2 + 1 for _, _, m, M, _ in rows)  # bookkeeping
     reps = [(cell[0], rep, vals[k * R + rep])
             for k, cell in enumerate(cells) for rep in range(R)]
     return rows, reps

@@ -363,6 +363,55 @@ def test_fit_non_finite_input_exits_2_without_output(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+
+def test_fit_whose_values_overflow_exits_2_without_output(tmp_path, capsys):
+    # every value 1.7e308 on the 51-point M = 101 grid: fit printed two
+    # RuntimeWarnings, exited 0 and wrote `(0),nan` rows
+    pts, vals, out = tmp_path / "pts.csv", tmp_path / "vals.csv", tmp_path / "fit.csv"
+    assert main(["points", "--M", "101", "--d", "1", "--out", str(pts)]) == 0
+    vals.write_text("f\n" + "1.7e308\n" * 51)
+    capsys.readouterr()
+    rc = main(["fit", "--points", str(pts), "--values", str(vals), "--q", "3",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: the function values overflow the "
+                                       "least-squares solve\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points, values, error", [
+    ("j,y1\n0,0.5\n1,x\n", "1\n2\n", "{pts}:3: malformed point row '1,x'"),
+    ("# d=1\n\nj,y1\n", "1\n", "{pts}: no point rows found"),
+    ("j,y1\n0,0.5,0.5\n", "1\n", "{pts}:2: expected 1 coordinates"),
+    ("j,y1\n0,0.5\n1,0.25\n", "value\n1\n 2x \n", "{vals}:3: malformed value row '2x'"),
+    ("j,y1\n0,0.5\n", "# none\nvalues\n\n", "{vals}: no value rows found"),
+])
+def test_fit_input_errors_name_the_file_and_line(tmp_path, capsys, points, values, error):
+    pts, vals, out = tmp_path / "pts.csv", tmp_path / "vals.csv", tmp_path / "fit.csv"
+    pts.write_text(points)
+    vals.write_text(values)
+    rc = main(["fit", "--points", str(pts), "--values", str(vals), "--q", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: " + error.format(pts=pts, vals=vals) + "\n"
+    assert not out.exists()
+
+
+def test_check_bounds_strict_counts_every_failed_check(tmp_path, capsys, monkeypatch):
+    # the six TD rows of d=2, q=1,2 pass; failing both spectral gaps and all
+    # 48 exponential sums makes 50 failed checks, each one line or one count
+    monkeypatch.setattr("weilfit.diagnostics.spectral_gap", lambda M, idx: 0.75)
+    monkeypatch.setattr("weilfit.diagnostics.weil_exponential_sum", lambda c, M: 1e9)
+    argv = ["check-bounds", "--dims", "2", "--orders", "1,2", "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "spectral-gap d=1 M=67: 0.750000 FAIL" in out and err == ""
+    assert "spectral-gap d=2 M=4099: 0.750000 FAIL" in out
+    assert "exponential-sum bound, 48 draws: FAIL" in out
+    assert out.count(": pass (") == 6
+    assert main(argv + ["--strict"]) == 3
+    assert capsys.readouterr().err == "50 check(s) failed\n"
+
 def test_io_error_exits_4(tmp_path, capsys):
     rc = main(["points", "--M", "31", "--d", "1",
                "--out", str(tmp_path / "nosuchdir" / "pts.csv")])

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weilfit.diagnostics import (ErrorReport, GramBoundReport,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weilfit.diagnostics import (ErrorReport, GramBoundReport, check_bounds,
                                  check_gram_bounds, l2_error,
                                  reference_projection, spectral_gap)
-from weilfit.indexsets import build_index_set
+from weilfit.indexsets import as_indices, build_index_set
 from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, gram, solve
-from weilfit.pointgen import weil_grid, weil_exponential_sum
+from weilfit.pointgen import is_prime, weil_grid, weil_exponential_sum
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES)
 from weilfit.targets import make
@@ -116,6 +119,83 @@ def test_check_gram_bounds_sweep_d2_d3():
         for M in Ms:
             r = check_gram_bounds(M, idx)
             assert r.passed, (d, M)
+
+
+
+_ODD_PRIMES = [p for p in range(3, 1100) if is_prime(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), space=st.sampled_from(["TD", "TP"]), data=st.data())
+def test_gram_bounds_hold_on_random_pairs(d, space, data):
+    # any odd prime M > 2q+1, the smallest ones included; M = 2 is below
+    q = data.draw(st.integers(0, {1: 12, 2: 7, 3: 4}[d]), label="q")
+    admissible = [p for p in _ODD_PRIMES if p > 2 * q + 1]
+    M = data.draw(st.one_of(st.sampled_from(admissible[:3]), st.sampled_from(admissible)),
+                  label="M")
+    idx = build_index_set(space, q, d)
+    restricted, every = check_gram_bounds(M, idx), check_gram_bounds(M, idx, False)
+    if d >= 2:
+        assert restricted.passed and every.passed
+        return
+    # d = 1: the radius is 0 and each diagonal entry is its target + 1/2
+    assert restricted.offdiag_pass and every.offdiag_pass and not every.diag_pass
+    A = gram(weil_grid(M, 1), idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    target = M / 2.0 ** (np.count_nonzero(as_indices(idx), axis=1) + 1)
+    np.testing.assert_allclose(np.diag(A), target + 0.5, rtol=0, atol=1e-9)
+
+
+def test_gram_bounds_at_the_even_prime():
+    # M = 2 (admissible at q = 0 only) has m = 2 = M/2 + 1 rows, so the
+    # (0,...,0) entry is 2, and the generalized target 1 +- (d-1)sqrt(2)/2
+    # misses it at d = 2; the restricted check has no index to test
+    for d, passes in ((1, False), (2, False), (3, True)):
+        r = check_gram_bounds(2, build_index_set("TD", 0, d), restrict_nonzero=False)
+        assert (r.diag_min, r.diag_pass) == (2.0, passes)
+        assert check_gram_bounds(2, build_index_set("TD", 0, d)).passed
+
+
+# ---------------------------------------------------------------------------
+# the check-bounds suites
+
+def test_check_bounds_records():
+    grams, gaps, sums = check_bounds([1, 2], [0, 48])
+    # the first prime above 2q+1, then 97 and 997 where they exceed 2q+1
+    assert [(r.d, r.q, r.M) for r in grams] == [
+        (1, 0, 2), (1, 0, 97), (1, 0, 997), (1, 48, 101), (1, 48, 997),
+        (2, 0, 2), (2, 0, 97), (2, 0, 997), (2, 48, 101), (2, 48, 997)]
+    assert grams[4] == check_gram_bounds(997, build_index_set("TD", 48, 1))
+    assert [r.passed for r in grams] == [True] * 3 + [False] * 2 + [True] * 5
+    assert gaps == [(1, 67, 0.05970149253731342, True),
+                    (2, 4099, 0.07242820039661467, True)]
+    assert len(sums) == 48 and all(sums)
+    assert check_bounds([2], [1], seed=7)[2] == [True] * 48
+
+
+def test_check_bounds_refuses_a_negative_seed_before_reading_its_lists():
+    def unread():
+        raise AssertionError("read before the seed check")
+        yield
+
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+        check_bounds(unread(), unread(), seed=-3)
+
+
+def test_check_bounds_flags_the_exponential_sums_it_draws(monkeypatch):
+    # a sum just above (deg-1) sqrt(M) + FP_TOL fails; one at it passes
+    drawn = []
+
+    def at_the_bound(coeffs, M, slack):
+        drawn.append((len(coeffs), M))
+        return (len(coeffs) - 1) * math.sqrt(M) + slack
+
+    for slack, want in ((1e-9, True), (2e-9, False)):
+        monkeypatch.setattr("weilfit.diagnostics.weil_exponential_sum",
+                            lambda coeffs, M: at_the_bound(coeffs, M, slack))
+        drawn.clear()
+        assert check_bounds([2], [1], seed=3)[2] == [want] * 48
+        assert {M for _, M in drawn} <= {101, 499, 997, 2309, 10007}
+        assert {deg for deg, _ in drawn} <= set(range(1, 7)) and len(drawn) == 48
 
 
 # ---------------------------------------------------------------------------

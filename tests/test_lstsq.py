@@ -136,6 +136,24 @@ def test_solve_errors():
               idx, CHEBYSHEV_CLASSICAL)
 
 
+
+@pytest.mark.parametrize("weights", [UNIT_WEIGHTS, WeightScheme("density_ratio")])
+@pytest.mark.parametrize("q", [0, 3, 29])  # N = 1 and 4 above the crossover, 30 below
+def test_solve_refuses_values_that_overflow(q, weights):
+    # 1.7e308 at each of the 51 points of M = 101 overflows U.T @ b (and
+    # sqrt(w) * f under the uniform density ratio): solve returned NaN or inf
+    # coefficients with RuntimeWarnings, which this suite turns into errors
+    grid, idx = weil_grid(101, 1), build_index_set("TD", q, 1)
+    message = r"^the function values overflow the least-squares solve$"
+    with pytest.raises(ValueError, match=message):
+        solve(grid, np.full(51, 1.7e308), idx, CHEBYSHEV_CLASSICAL, weights)
+    # finite coefficients, but a residual whose square is past float range
+    wild = 1e160 * (-1.0) ** np.arange(51)
+    with pytest.raises(ValueError, match=message):
+        solve(grid, wild, idx, CHEBYSHEV_CLASSICAL, weights)
+    fit = solve(grid, wild / 1e20, idx, CHEBYSHEV_CLASSICAL, weights)
+    assert np.isfinite(fit.coefficients).all() and math.isfinite(fit.residual_norm)
+
 def test_condition_matches_solve_and_is_inf_when_underdetermined():
     idx = build_index_set("TD", 4, 2)
     g = weil_grid(211, 2)
