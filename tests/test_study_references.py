@@ -7,7 +7,10 @@ thread and compares the output with the committed
 bench/reference/<workload>/seed-0.csv, so a change of one bit in a study CSV
 fails here and not only in the benchmark.  Only reads bench/.  Likewise two
 check-bounds runs are compared, CSV and stdout, with
-tests/reference/check-bounds/<name>.csv and .stdout.
+tests/reference/check-bounds/<name>.csv and .stdout, and three studies that no
+workload runs with tests/reference/studies/<name>.csv: singular weil cells
+that read inf, a TP Monte Carlo conv-study with `# rep` lines and an m < N
+cell, and a TP Monte Carlo cond-study with repetitions.
 """
 
 import json
@@ -49,6 +52,32 @@ def test_conv_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
 @pytest.mark.parametrize("workload", ["cond-quad", "mc-reps"])
 def test_cond_study_csv_is_byte_identical_to_the_reference(workload, tmp_path):
     _check_against_the_reference(workload, tmp_path)
+
+
+STUDIES = {
+    # m = N with a zero-weight row (j = 0 lies on the boundary) is singular at
+    # q = 1, 2, 3, 5, 6, 8; q = 4 and 7 are finite
+    "conv-singular-cells": [
+        "conv-study", "--d", "1", "--q-max", "8", "--scaling", "linear", "--c", "1",
+        "--family", "legendre", "--weights", "density_ratio", "--target", "cossum"],
+    # TP's gathered-column pass, the `# rep` lines, and q = 4 with m = 24 < N = 25
+    "conv-mc-uniform-tp-reps": [
+        "conv-study", "--grid", "mc_uniform", "--space", "TP", "--d", "2", "--q-max", "4",
+        "--scaling", "linear", "--c", "1", "--repetitions", "3",
+        "--weights", "density_ratio", "--family", "legendre", "--seed", "3"],
+    "cond-mc-chebyshev-tp-reps": [
+        "cond-study", "--grid", "mc_chebyshev", "--space", "TP", "--d", "2",
+        "--q-max", "5", "--scaling", "linear", "--c", "2", "--family", "legendre",
+        "--weights", "density_ratio", "--repetitions", "2", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDIES))
+def test_study_csv_is_byte_identical_to_the_reference(name, tmp_path):
+    out = tmp_path / "study.csv"
+    _run_cli(STUDIES[name] + ["--out", str(out)])
+    reference = ROOT / "tests" / "reference" / "studies" / f"{name}.csv"
+    assert out.read_bytes() == reference.read_bytes()
 
 
 @pytest.mark.parametrize("name, argv", [
