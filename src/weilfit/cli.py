@@ -15,7 +15,8 @@ a failed check under `check-bounds --strict`, 4 I/O error.
 
 Every output CSV starts with `# key=value` comment lines echoing the full
 resolved configuration, enough to re-run the command.  Floats are written as
-shortest round-trip decimals.  The study protocol lives in `weilfit.study`.
+shortest round-trip decimals.  A command makes one library call, such as
+`weilfit.study.cond_study`/`conv_study`, and only formats what it returns.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import csv
 import sys
 import typing
 from dataclasses import fields
-from itertools import starmap
 
 import numpy as np
 
-from . import diagnostics, study, targets
+from . import diagnostics, study
 from .indexsets import build_index_set
-from .lstsq import SingularSystemError, condition, solve
+from .lstsq import SingularSystemError, solve
 from .pointgen import (MAX_MODULUS, arcsine_box_measure, equidist_box_fraction,
                        nearest_prime, weil_grid)
 
@@ -49,10 +49,9 @@ def _write_csv(path, comments, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_study(args, cfg, colname, values, comments=()):
-    """Run the study, then write its CSV: the config echo, `comments`, one
-    `# rep` line per repetition when there are several, and the rows."""
-    rows, reps = study.run(cfg, values)
+def _write_study(args, cfg, colname, rows, reps, comments=()):
+    """Write a study's CSV: the config echo, `comments`, one `# rep` line
+    per repetition when there are several, and the rows."""
     lines = cfg.echo_lines() + list(comments)
     if cfg.repetitions > 1:
         lines += [f"rep q={q} rep={rep} {colname}={val!r}" for q, rep, val in reps]
@@ -152,34 +151,14 @@ def cmd_fit(args) -> int:
 
 def cmd_cond_study(args) -> int:
     cfg = study.resolve_config(args)
-    spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
-
-    def cond_A(pts, index_set):
-        return condition(pts, index_set, spec, scheme).cond_A
-
-    # starmap drops each cell's points before the next cell's are made (a
-    # comprehension's loop variable would hold them meanwhile)
-    return _write_study(args, cfg, "cond_A", lambda cells: list(starmap(cond_A, cells)))
+    return _write_study(args, cfg, "cond_A", *study.cond_study(cfg))
 
 
 def cmd_conv_study(args) -> int:
     cfg = study.resolve_config(args)
-    spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
-    coeffs = cfg.target_coeffs()
-    f = targets.make(cfg.target, coeffs)
-
-    def fit(pts, index_set):
-        try:
-            return solve(pts, f(pts), index_set, spec, scheme)
-        except SingularSystemError:
-            return None  # scores inf
-
-    def l2_errors(cells):
-        fits = list(starmap(fit, cells))  # as in cmd_cond_study
-        return diagnostics.l2_error(fits, f, cfg.n_test, seed=cfg.seed).l2_error
-
-    return _write_study(args, cfg, "l2_error", l2_errors,
-                        ["target_coeffs=" + ",".join(repr(float(v)) for v in coeffs)])
+    coeffs = ",".join(repr(float(v)) for v in cfg.target_coeffs())
+    return _write_study(args, cfg, "l2_error", *study.conv_study(cfg),
+                        [f"target_coeffs={coeffs}"])
 
 
 def parse_boxes(text: str, d: int):

@@ -178,26 +178,23 @@ def condition(pts, index_set, basis: BasisSpec,
     """cond_D and cond_A of the scaled design matrix from its singular
     values alone (U and V are never formed).
 
-    The scaled design is built column-major and, when it is tall enough
-    (m >= floor(11 N / 6)), QR-factored in place before the SVD of its
-    triangular factor (see _householder): the m x N matrix is held once,
-    never copied, and the singular values equal those of
-    np.linalg.svd(D * sqrt(w)[:, None], compute_uv=False) bit for bit.
+    The scaled design is built column-major and factored in place (see
+    _svd): the m x N matrix is held once, never copied, and the singular
+    values equal those of np.linalg.svd(D * sqrt(w)[:, None],
+    compute_uv=False) bit for bit.
 
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
     _, Dw = _scaled_design(pts, index_set, basis, weights, order="F")
-    qr = _householder(Dw)
-    s = np.linalg.svd(Dw if qr is None else qr[0], compute_uv=False)
-    return _condition_report(s, Dw.shape[1])
+    return _condition_report(_svd(Dw, compute_uv=False), Dw.shape[1])
 
 
-def _svd(Dw):
-    """U, s, Vt of the m x N matrix Dw, equal bit for bit to
-    np.linalg.svd(Dw, full_matrices=False), with U row-major as numpy gives
-    it.  From the crossover on (see _qr_first) Dw must be column-major; it
-    is overwritten and ends up holding U.
+def _svd(Dw, compute_uv=True):
+    """U, s, Vt of the m x N matrix Dw, or s alone without compute_uv, bit
+    for bit as np.linalg.svd(Dw, full_matrices=False, compute_uv=compute_uv)
+    gives them, U row-major.  From the crossover on (see _qr_first) Dw must
+    be column-major; it is overwritten and, with U, ends up holding U.
 
     There dgesdd (path 3) factors Dw = QR, forms Q with dorgqr, takes the
     SVD R = Ur diag(s) Vt and multiplies Q by Ur with one dgemm.  These
@@ -208,6 +205,8 @@ def _svd(Dw):
     twice at the peak (Q and dgemm's U), not four times (D, LAPACK's copy of
     it, LAPACK's U and numpy's)."""
     qr = _householder(Dw)
+    if not compute_uv:
+        return np.linalg.svd(Dw if qr is None else qr[0], compute_uv=False)
     if qr is None:
         return np.linalg.svd(Dw, full_matrices=False)
     m, N = Dw.shape

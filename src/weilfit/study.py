@@ -1,10 +1,11 @@
-"""The conditioning and convergence study protocol.
+"""The conditioning and convergence study protocols.
 
 A study sweeps the order q from q_min to q_max.  Each q is one cell: its
 index set fixes N, the scaling rule fixes the point count m and the prime
 modulus M (`realize_cell`), and the cell's points come from the Weil grid or
 a Monte Carlo sampler (`cell_points`).  `run` hands the points of every
-(q, repetition) cell to one `values` callable and averages the repetitions.
+(q, repetition) cell to one `values` callable, the Gram cond_A in `cond_study`
+and the fit's L2 error in `conv_study`, and averages the repetitions.
 Monte Carlo cells draw their points from PCG64 seeded with
 SeedSequence([seed, q, rep]); weil grids force repetitions=1.  A cell with
 fewer points than basis functions (m < N) records inf without being
@@ -16,12 +17,15 @@ from __future__ import annotations
 import math
 import typing
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 
 import numpy as np
 
 from . import targets
+from .diagnostics import l2_error
 from .indexsets import KINDS, build_index_set
-from .lstsq import TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, WeightScheme
+from .lstsq import (TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, SingularSystemError,
+                    WeightScheme, condition, solve)
 from .pointgen import (MAX_MODULUS, check_memory, is_prime, mc_sample,
                        nearest_prime, weil_grid)
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
@@ -192,12 +196,8 @@ def run(cfg: StudyConfig, values):
     per order and one (q, rep, value) per repetition, in (q, rep) order; a
     cell with m < N reads inf.  A cell past the modulus limit raises
     ValueError before any cell is evaluated, and before the first
-    repetition of a cell, a design of more than physical memory raises
-    ValueError naming the cell.  That check asks room for 2*8*m*N bytes:
-    cond-study holds D once (lstsq.condition factors it in place), and from
-    dgesdd's crossover m >= floor(11 N / 6) on, lstsq.solve holds it twice
-    (D's buffer ends up holding U next to the product that forms it); below
-    the crossover lstsq.solve checks the 4*8*m*N bytes its SVD holds.
+    repetition of a cell, ValueError names the cell if two of its m x N
+    designs exceed physical memory (lstsq says what condition and solve hold).
     """
     cells = [(q,) + realize_cell(cfg, q) for q in range(cfg.q_min, cfg.q_max + 1)]
 
@@ -219,3 +219,34 @@ def run(cfg: StudyConfig, values):
     reps = [(cell[0], rep, vals[k * R + rep])
             for k, cell in enumerate(cells) for rep in range(R)]
     return rows, reps
+
+
+def cond_study(cfg: StudyConfig):
+    """run's (rows, reps) with each cell's cond_A (lstsq.condition)."""
+    spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
+
+    def cond_A(pts, index_set):
+        return condition(pts, index_set, spec, scheme).cond_A
+
+    # starmap drops each cell's points before the next cell's are made (a
+    # comprehension's loop variable would hold them meanwhile)
+    return run(cfg, lambda cells: list(starmap(cond_A, cells)))
+
+
+def conv_study(cfg: StudyConfig):
+    """run's (rows, reps) with the discrete L2 error of each cell's fit (inf
+    if singular), all scored on one sample of n_test points drawn with seed."""
+    spec, scheme = cfg.basis_spec(), cfg.weight_scheme()
+    f = targets.make(cfg.target, cfg.target_coeffs())
+
+    def fit(pts, index_set):
+        try:
+            return solve(pts, f(pts), index_set, spec, scheme)
+        except SingularSystemError:
+            return None  # scores inf
+
+    def l2_errors(cells):
+        fits = list(starmap(fit, cells))  # as in cond_study
+        return l2_error(fits, f, cfg.n_test, seed=cfg.seed).l2_error
+
+    return run(cfg, l2_errors)

@@ -17,7 +17,7 @@ from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
 from weilfit.pointgen import mc_sample, nearest_prime, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, basis_matrix, eval_tensor)
-from weilfit.study import StudyConfig, cell_points, realize_cell
+from weilfit.study import GRIDS, StudyConfig, cell_points, realize_cell
 from weilfit.targets import coefficients, make
 
 SPECS = (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL, LEGENDRE_ORTHONORMAL)
@@ -438,6 +438,33 @@ def test_scaling_and_row_permutation_leave_coefficients_within_rounding(
     perm = np.random.default_rng(seed).permutation(len(pts))
     permuted = solve(pts[perm], f[perm], idx, spec).coefficients
     assert np.linalg.norm(permuted - fit.coefficients) <= unit
+
+
+RECOVERY_TOL = 1e-10  # the acceptance gate's exact-recovery tolerance
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(grid=st.sampled_from(GRIDS), kind=st.sampled_from(KINDS), spec=st.sampled_from(SPECS),
+       weights=st.sampled_from([UNIT_WEIGHTS, WeightScheme("density_ratio", "uniform")]),
+       d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_solve_recovers_every_basis_element_of_a_study_cell(grid, kind, spec, weights, d,
+                                                            data, seed):
+    # the values of basis function k on a cell (m >= N, the paper's quadratic
+    # scaling) are fitted by basis function k alone.  A cell with fewer than N
+    # rows of positive weight is singular and skipped: m = N with a boundary
+    # row, or M = 2, whose two weil points are both on the boundary
+    q = data.draw(st.integers(0, 4 if d < 3 else 3))
+    cfg = StudyConfig(space=kind, d=d, grid=grid, seed=seed)
+    idx, N, m, M = realize_cell(cfg, q)
+    pts = cell_points(cfg, q, m, M, 0).points
+    D = basis_matrix(spec, idx, pts)
+    for k in range(N):
+        try:
+            fit = solve(pts, D[:, k], idx, spec, weights)
+        except SingularSystemError:
+            assert k == 0 and np.count_nonzero(compute_weights(weights, pts)) < N
+            return
+        assert np.max(np.abs(fit.coefficients - np.eye(N)[k])) <= RECOVERY_TOL
 
 
 # ---------------------------------------------------------------------------
