@@ -122,9 +122,9 @@ def spectral_gap(M: int, index_set) -> float:
 
     Every index must have all components nonzero (the normalization 2^{d+1}
     is only consistent there); otherwise ValueError.  The Gram matrix is
-    scaled and shifted in place, so the memory is gram's: ValueError before
-    the product when its 8*(m*N + 2*N*N) bytes exceed physical memory, and
-    the 2-norm's SVD then holds only the N x N matrix and LAPACK's copy.
+    scaled and shifted in place, and the 2-norm's SVD holds it and LAPACK's
+    copy, the two N x N of gram's check: ValueError before the product when
+    its 8*(m*N + 2*N*N) bytes exceed physical memory.
     """
     idx = as_indices(index_set)
     N, d = idx.shape

@@ -307,12 +307,11 @@ def gram(pts, index_set, basis: BasisSpec,
          weights: WeightScheme = UNIT_WEIGHTS) -> np.ndarray:
     """Weighted Gram matrix A[n,k] = sum_i w_i Phi_n(y_i) Phi_k(y_i).
 
-    Built from the scaled design matrix as B^T B with B = diag(sqrt(w)) D and
-    symmetrized exactly; positive semidefinite by construction.  Before the
-    product, ValueError if B, A and A + A.T (halved in place by numpy), the
-    8*(m*N + 2*N*N) bytes of tracemalloc's peak, exceed physical memory."""
+    B^T B with B = diag(sqrt(w)) D the scaled design: numpy's syrk mirrors
+    one triangle, so A is exactly symmetric.  ValueError before the product
+    if 8*(m*N + 2*N*N) bytes exceed physical memory: B and A (tracemalloc's
+    peak), and the copy of A that LAPACK takes in spectral_gap."""
     _, Dw = _scaled_design(pts, index_set, basis, weights)
     m, N = Dw.shape
     check_memory(f"the {N} x {N} Gram matrix", 8 * (m * N + 2 * N * N))
-    A = Dw.T @ Dw
-    return (A + A.T) / 2.0
+    return Dw.T @ Dw

@@ -303,34 +303,23 @@ def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
 
 
 def _passes(levels, m, N, expansions, held):
-    """Yield the values of `expansions` ((cols, c) pairs), `held` per pass."""
+    """Yield the values of `expansions` ((cols, c) pairs), `held` per pass.
+    np.take gathers columns into a C-order copy, matmul's layout for the bits
+    of D @ c (block[:, cols] would be column-major); a slice stays a view."""
     blocks = _row_blocks(m, N)
-    size = max(b.stop - b.start for b in blocks)
-    buf = np.empty((size, N))
-    gathered = max((c.shape[0] for cols, c in expansions
-                    if not isinstance(cols, slice)), default=0)
-    gather_buf = np.empty(size * gathered)
+    buf = np.empty((max(b.stop - b.start for b in blocks), N))
     for first in range(0, len(expansions), held):
-        outs = _pass(levels, blocks, buf, gather_buf, expansions[first:first + held], m)
+        group = expansions[first:first + held]
+        outs = [np.empty(m) for _ in group]
+        for rows in blocks:
+            block = buf[:rows.stop - rows.start]
+            _fill(levels, rows, block)
+            for (cols, c), out in zip(group, outs):
+                part = block[:, cols] if isinstance(cols, slice) else np.take(block, cols, axis=1)
+                np.matmul(part, c, out=out[rows])
         outs.reverse()
         while outs:
             yield outs.pop()
-
-
-def _pass(levels, blocks, buf, gather_buf, group, m):
-    """One pass over the row blocks: the values of each expansion of group."""
-    outs = [np.empty(m) for _ in group]
-    for rows in blocks:
-        block = buf[:rows.stop - rows.start]
-        _fill(levels, rows, block)
-        for (cols, c), out in zip(group, outs):
-            if isinstance(cols, slice):
-                part = block[:, cols]
-            else:
-                part = gather_buf[:block.shape[0] * c.shape[0]].reshape(-1, c.shape[0])
-                np.take(block, cols, axis=1, out=part, mode="clip")
-            np.matmul(part, c, out=out[rows])
-    return outs
 
 
 def evaluate_expansion(spec: BasisSpec, index_set, pts, coeffs) -> np.ndarray:

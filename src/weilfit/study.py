@@ -156,11 +156,11 @@ def resolve_config(args) -> StudyConfig:
 def realize_cell(cfg: StudyConfig, q: int):
     """(index_set, N, m, M) for one study cell.
 
-    m_target = round(c*N) or round(c*N^2); M = nearest_prime(2*m_target - 1);
-    m = floor(M/2)+1.  The same prime rule fixes the point count for Monte
-    Carlo cells so weil and MC rows are comparable at equal m.  Raises
-    ValueError when M would exceed the modulus limit of the Weil grids,
-    3 037 000 499, for every grid kind.
+    M = nearest_prime(max(3, 2*m_target - 1)) for m_target = round(c*N) or
+    round(c*N^2), at least 1: an odd prime, as the paper's grids assume (M = 2
+    is two corners), and m = floor(M/2)+1.  The rule fixes the point count of
+    Monte Carlo cells too, so weil and MC rows are comparable at equal m.
+    ValueError when M would pass 3 037 000 499, the Weil grids' modulus limit.
     """
     index_set = build_index_set(cfg.space, q, cfg.d)
     N = index_set.N
@@ -168,7 +168,7 @@ def realize_cell(cfg: StudyConfig, q: int):
     # Rounded half up, and capped first so a huge c*size never reaches
     # math.floor; any capped target is past the limit anyway.
     m_target = max(1, math.floor(min(cfg.c * size, MAX_MODULUS) + 0.5))
-    M = nearest_prime(max(2, 2 * m_target - 1))
+    M = nearest_prime(max(3, 2 * m_target - 1))
     if M > MAX_MODULUS:
         raise ValueError(f"cell q={q} targets {cfg.c * size:.4g} points, which needs a "
                          f"modulus above {MAX_MODULUS}, the largest with exact int64 "

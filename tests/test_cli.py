@@ -240,9 +240,9 @@ def test_load_config_rejects_garbage(tmp_path):
 
 def test_round_half_up():
     # d=1, q=0 has N=1, so linear scaling targets round(c) points and M is
-    # the prime nearest to 2*round(c) - 1 (at least 2); the worked example
-    # below covers 1012.5 -> 1013
-    for c, M in ((0.5, 2), (1.5, 3), (2.4, 3), (2.5, 5)):
+    # the prime nearest to 2*round(c) - 1 (at least 3, an odd prime); the
+    # worked example below covers 1012.5 -> 1013
+    for c, M in ((0.5, 3), (1.5, 3), (2.4, 3), (2.5, 5)):
         _, N, m, got = realize_cell(StudyConfig(d=1, q_min=0, scaling="linear", c=c), 0)
         assert (N, got, m) == (1, M, M // 2 + 1)
 
@@ -525,7 +525,8 @@ def test_points_and_equidist_refuse_a_target_modulus_past_the_limit(tmp_path, ca
 
 def test_check_bounds_gram_larger_than_physical_memory_exits_2(tmp_path, capsys,
                                                                monkeypatch):
-    # N = 21945 at d=2, q=208: the Gram matrix and A + A.T are 3.6 GiB each
+    # N = 21945 at d=2, q=208: the Gram matrix and LAPACK's copy of it are
+    # 3.6 GiB each
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**32)
     out = tmp_path / "cb.csv"
     rc = main(["check-bounds", "--dims", "2", "--orders", "208", "--out", str(out)])

@@ -14,8 +14,9 @@ from weilfit.indexsets import as_indices, build_index_set
 from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, gram, solve
 from weilfit.pointgen import is_prime, weil_grid, weil_exponential_sum
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
-                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES)
-from weilfit.targets import make
+                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, evaluate_expansion)
+from weilfit.study import StudyConfig, realize_cell
+from weilfit.targets import TARGET_NAMES, coefficients, make
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +224,9 @@ def test_spectral_gap_below_half_under_modulus_rule():
 
 def test_spectral_gap_holds_no_more_than_gram_checks(monkeypatch):
     # N = 900 > m = 106, so the four N x N arrays that (2^{d+1}/M) A - I
-    # held out of place came to twice gram's check; in place it is gram's
-    # peak, B, A and A + A.T, within its few 256 KiB block temporaries
+    # held out of place came to twice gram's check; in place it is B and A
+    # while gram builds A, then A and LAPACK's copy of it, within gram's few
+    # 256 KiB block temporaries
     idx = [(i, j) for i in range(1, 31) for j in range(1, 31)]
     M, N = 211, len(idx)
     need = 8 * ((M // 2 + 1) * N + 2 * N * N)
@@ -319,6 +321,41 @@ def test_projection_coefficient_decay_for_analytic_target():
     mags = np.abs(proj)
     ratios = mags[2:] / mags[1:-1]
     assert np.max(ratios) < 0.35
+
+
+@pytest.mark.parametrize("d, space", [(1, "TD"), (2, "TD"), (2, "TP"), (3, "TD"), (3, "TP")])
+def test_weil_fit_meets_the_paper_convergence_estimate(d, space):
+    # ||f - Pi f||_rho <= ||f - p||_rho + lam_min^(-1/2) ||f - p||_grid for
+    # any p in the space: Pi p = p, Pi contracts the grid seminorm, and
+    # ||g||_rho^2 = |c|^2 <= ||g||_grid^2 / lam_min on the space.  Pi is the
+    # unit-weight fit on the cell's weil grid, lam_min the smallest
+    # eigenvalue of A/m, and ||g||_grid^2 the mean of g^2 over the m rows;
+    # the rho-norms take the Gauss-Chebyshev product rule of L^d nodes
+    spec = CHEBYSHEV_ORTHONORMAL
+    qmax, L = (5, 64) if d < 3 else (3, 24)
+    nodes1 = np.cos((2 * np.arange(1, L + 1) - 1) * np.pi / (2 * L))
+    nodes = np.stack(np.meshgrid(*[nodes1] * d, indexing="ij"), -1).reshape(-1, d)
+
+    def rms(values):
+        return math.sqrt(np.mean(values ** 2))
+
+    for target in TARGET_NAMES:
+        f = make(target, coefficients(target, d))
+        f_nodes = f(nodes)
+        for scaling, c in (("quadratic", 0.5), ("linear", 2.0), ("linear", 4.0)):
+            cfg = StudyConfig(space=space, d=d, scaling=scaling, c=c)
+            for q in range(qmax + 1):
+                idx, N, m, M = realize_cell(cfg, q)
+                grid = weil_grid(M, d)
+                f_grid = f(grid.points)
+                fit = solve(grid, f_grid, idx, spec)
+                p = reference_projection(f, idx, spec, L)
+                lam_min = np.linalg.eigvalsh(gram(grid, idx, spec) / m)[0]
+                lhs = rms(f_nodes - evaluate_expansion(spec, idx, nodes, fit.coefficients))
+                rhs = (rms(f_nodes - evaluate_expansion(spec, idx, nodes, p))
+                       + rms(f_grid - evaluate_expansion(spec, idx, grid.points, p))
+                       / math.sqrt(lam_min))
+                assert lhs <= rhs, (target, scaling, c, q, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

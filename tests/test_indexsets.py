@@ -112,6 +112,14 @@ def test_as_indices_accepts_plain_sequences():
         as_indices([(1.5, 2)])
 
 
+@pytest.mark.parametrize("raw, shape", [(np.array([1, 2]), "(2,)"),
+                                        (np.zeros((2, 2, 2), dtype=int), "(2, 2, 2)")])
+def test_as_indices_rejects_an_array_that_is_not_one_row_per_index(raw, shape):
+    with pytest.raises(ValueError) as err:
+        as_indices(raw)
+    assert str(err.value) == f"expected a sequence of multi-indices, got shape {shape}"
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), q=st.integers(0, 4), d=st.integers(1, 3),
        spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32 - 1))

@@ -383,6 +383,22 @@ def test_evaluate_expansion_rejects_non_finite_coefficients(bad):
         evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, np.zeros((3, 2)), c)
 
 
+def test_design_and_expansions_reject_an_empty_point_set():
+    idx = build_index_set("TD", 2, 2)
+    with pytest.raises(ValueError, match="^empty point set$"):
+        basis_matrix(CHEBYSHEV_CLASSICAL, idx, np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^empty point set$"):
+        evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, np.zeros((0, 2)), np.ones(len(idx)))
+
+
+def test_design_and_expansions_reject_points_of_another_dimension():
+    idx = build_index_set("TD", 2, 2)
+    with pytest.raises(ValueError, match=r"^point dimension 3 != index dimension 2$"):
+        basis_matrix(CHEBYSHEV_CLASSICAL, idx, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"^point dimension 1 != index dimension 2$"):
+        evaluate_expansion(LEGENDRE_ORTHONORMAL, idx, np.zeros(4), np.ones(len(idx)))
+
+
 def test_basis_matrix_larger_than_physical_memory_raises(monkeypatch):
     # 8*m*N bytes: 4800 for 100 points and TD(2, 2), N = 6, against stand-in
     # memory sizes just above and just below

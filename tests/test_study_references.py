@@ -10,7 +10,10 @@ check-bounds runs are compared, CSV and stdout, with
 tests/reference/check-bounds/<name>.csv and .stdout, and three studies that no
 workload runs with tests/reference/studies/<name>.csv: singular weil cells
 that read inf, a TP Monte Carlo conv-study with `# rep` lines and an m < N
-cell, and a TP Monte Carlo cond-study with repetitions.
+cell, and a TP Monte Carlo cond-study with repetitions.  Three `fit` CSVs of
+exp(-sum y) on Weil grids written by `points` are compared with
+tests/reference/fit/<name>.csv: coefficients, cond_D, cond_A and the
+residual on both sides of the crossover where solve factors in place.
 """
 
 import json
@@ -19,6 +22,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,3 +95,26 @@ def test_check_bounds_output_is_byte_identical_to_the_reference(name, argv, tmp_
     assert out.read_bytes() == reference.with_suffix(".csv").read_bytes()
     assert stdout.replace(f" to {out}\n", " to <out>\n") == \
         reference.with_suffix(".stdout").read_text()
+
+
+FITS = {
+    # m = 505 >= floor(11 * 28 / 6) = 51: solve's in-place QR path
+    "weil-1009-d2-q6": (["--M", "1009", "--d", "2"], ["--q", "6"]),
+    # m = 16 < floor(11 * 11 / 6) = 20: numpy's SVD of the whole design
+    "weil-31-d1-q10": (["--M", "31", "--d", "1"], ["--q", "10"]),
+    "weil-1009-d2-q6-legendre-density-ratio": (
+        ["--M", "1009", "--d", "2"],
+        ["--q", "6", "--family", "legendre", "--weights", "density_ratio"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_csv_is_byte_identical_to_the_reference(name, tmp_path):
+    grid, options = FITS[name]
+    pts, vals, out = tmp_path / "pts.csv", tmp_path / "vals.csv", tmp_path / "fit.csv"
+    _run_cli(["points"] + grid + ["--out", str(pts)])
+    y = np.loadtxt(pts, delimiter=",", comments="#", skiprows=4)[:, 1:]
+    vals.write_text("".join(f"{v!r}\n" for v in np.exp(-y.sum(axis=1)).tolist()))
+    _run_cli(["fit", "--points", str(pts), "--values", str(vals), "--out", str(out)] + options)
+    reference = ROOT / "tests" / "reference" / "fit" / f"{name}.csv"
+    assert out.read_bytes() == reference.read_bytes()
