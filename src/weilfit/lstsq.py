@@ -151,37 +151,14 @@ def _lapack(routine, *args):
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info = {info}")
 
 
-def _householder(Dw):
-    """(R, tau) of the QR factorization of the column-major m x N matrix Dw,
-    computed in place as dgesdd's first step, or None below its crossover
-    (see _qr_first), where dgesdd bidiagonalizes Dw directly and a QR first
-    would change the last bits.
-
-    np.linalg.svd copies its input into a column-major LAPACK buffer and
-    calls dgesdd, which from the crossover on runs dgeqrf, then takes the SVD
-    of the N x N triangular factor R.  Here dgeqrf runs on Dw's own buffer,
-    so the m x N matrix is never copied: Dw keeps the Householder vectors
-    below its diagonal (dorgqr turns them into Q with tau), and R is a copy
-    of its upper triangle."""
-    m, N = Dw.shape
-    if not _qr_first(m, N):
-        return None
-    tau = np.empty(N)
-    _lapack(lapack_lite.dgeqrf, m, N, Dw.T, m, tau)  # Dw.T: (N, m), C-contiguous
-    R = Dw[:N].copy()
-    np.copyto(R, 0.0, where=_strict_lower(N))
-    return R, tau
-
-
 def condition(pts, index_set, basis: BasisSpec,
               weights: WeightScheme = UNIT_WEIGHTS) -> ConditionReport:
     """cond_D and cond_A of the scaled design matrix from its singular
     values alone (U and V are never formed).
 
-    The scaled design is built column-major and factored in place (see
-    _svd): the m x N matrix is held once, never copied, and the singular
-    values equal those of np.linalg.svd(D * sqrt(w)[:, None],
-    compute_uv=False) bit for bit.
+    The scaled design is built column-major, so that _svd factors it in
+    place from dgesdd's crossover on, and the singular values equal those
+    of np.linalg.svd(D * sqrt(w)[:, None], compute_uv=False) bit for bit.
 
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
@@ -193,26 +170,33 @@ def condition(pts, index_set, basis: BasisSpec,
 def _svd(Dw, compute_uv=True):
     """U, s, Vt of the m x N matrix Dw, or s alone without compute_uv, bit
     for bit as np.linalg.svd(Dw, full_matrices=False, compute_uv=compute_uv)
-    gives them, U row-major.  From the crossover on (see _qr_first) Dw must
-    be column-major; it is overwritten and, with U, ends up holding U.
+    gives them, U row-major.
 
-    There dgesdd (path 3) factors Dw = QR, forms Q with dorgqr, takes the
-    SVD R = Ur diag(s) Vt and multiplies Q by Ur with one dgemm.  These
-    steps run here on Dw's own buffer; with Ur column-major, (Ur.T @ Q.T).T
-    is that same dgemm, and other spellings of Q @ Ur differ in the last bits.
-    numpy then copies U row-major, which fixes the bits of U.T @ b; that
-    copy goes into Q's buffer, as Q is spent.  So the m x N matrix is held
-    twice at the peak (Q and dgemm's U), not four times (D, LAPACK's copy of
-    it, LAPACK's U and numpy's)."""
-    qr = _householder(Dw)
-    if not compute_uv:
-        return np.linalg.svd(Dw if qr is None else qr[0], compute_uv=False)
-    if qr is None:
-        return np.linalg.svd(Dw, full_matrices=False)
+    np.linalg.svd copies Dw into a column-major LAPACK buffer for dgesdd.
+    Below the crossover (see _qr_first) dgesdd bidiagonalizes that copy
+    directly, a QR first would change the last bits, and Dw goes to
+    np.linalg.svd in either layout (solve's is row-major there).  From the
+    crossover on, Dw must be column-major; it is overwritten and, with U,
+    ends up holding U.  There dgesdd (path 3) factors Dw = QR, forms Q with
+    dorgqr, takes the SVD R = Ur diag(s) Vt of the N x N triangular factor
+    and multiplies Q by Ur with one dgemm.  These steps run here on Dw's own
+    buffer; with Ur column-major, (Ur.T @ Q.T).T is that same dgemm, and
+    other spellings of Q @ Ur differ in the last bits.  numpy then copies U
+    row-major, which fixes the bits of U.T @ b; that copy goes into Q's
+    buffer, as Q is spent.  So the m x N matrix is held once without U and
+    twice with it (Q and dgemm's U), not four times (D, LAPACK's copy of it,
+    LAPACK's U and numpy's)."""
     m, N = Dw.shape
-    Ur, s, Vt = np.linalg.svd(qr[0])
-    tau = qr[1]
-    del qr  # and with it R
+    if not _qr_first(m, N):
+        return np.linalg.svd(Dw, full_matrices=False, compute_uv=compute_uv)
+    tau = np.empty(N)
+    _lapack(lapack_lite.dgeqrf, m, N, Dw.T, m, tau)  # Dw.T: (N, m), C-contiguous
+    R = Dw[:N].copy()
+    np.copyto(R, 0.0, where=_strict_lower(N))
+    if not compute_uv:
+        return np.linalg.svd(R, compute_uv=False)
+    Ur, s, Vt = np.linalg.svd(R)
+    del R
     Ur = np.asfortranarray(Ur)
     _lapack(lapack_lite.dorgqr, m, N, N, Dw.T, m, tau)
     U = Dw.T.reshape(-1).reshape(m, N)  # Q's buffer, row-major
@@ -242,9 +226,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     ((U.T @ b) / s) and |b - Dw @ coeffs|.
 
     From dgesdd's crossover npts >= floor(11 N / 6) on, Dw is built
-    column-major and QR-factored in place, and its buffer ends up holding U
-    (see _svd); after the coefficients, U is freed and Dw rebuilt row-major
-    for the residual.  So the npts x N matrix is held twice at the peak, and
+    column-major and _svd factors it in place, leaving U in its buffer;
+    after the coefficients, U is freed and Dw rebuilt row-major for the
+    residual.  So the npts x N matrix is held twice at the peak, and
     the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes (the design and
     U, the weights, values and scaled values, and three N x N factors),
     tracemalloc's peak up to the few 256 KiB block temporaries of the

@@ -11,7 +11,7 @@ from weilfit.diagnostics import (ErrorReport, GramBoundReport, check_bounds,
                                  check_gram_bounds, l2_error,
                                  reference_projection, spectral_gap)
 from weilfit.indexsets import as_indices, build_index_set
-from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, gram, solve
+from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, condition, gram, solve
 from weilfit.pointgen import is_prime, weil_grid, weil_exponential_sum
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, evaluate_expansion)
@@ -154,6 +154,37 @@ def test_gram_bounds_at_the_even_prime():
         r = check_gram_bounds(2, build_index_set("TD", 0, d), restrict_nonzero=False)
         assert (r.diag_min, r.diag_pass) == (2.0, passes)
         assert check_gram_bounds(2, build_index_set("TD", 0, d)).passed
+
+
+def _stability_bound(M, N, d):
+    """The paper's a-priori bound on cond_A for orthonormal Chebyshev with
+    unit weights on weil_grid(M, d), odd prime M > 2q+1: inf unless M/2 > R.
+
+    Scaled to the orthonormal basis (by a factor of at most 2^d), the Gram
+    entry bounds put every off-diagonal entry, and every diagonal entry's
+    distance from M/2, below 2^(d-1) ((d-1) sqrt(M) + 1); so by Gershgorin
+    every eigenvalue of A lies within R = N 2^(d-1) ((d-1) sqrt(M) + 1) of
+    M/2."""
+    R = N * 2 ** (d - 1) * ((d - 1) * math.sqrt(M) + 1)
+    return (M / 2 + R) / (M / 2 - R) if M / 2 > R else math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3), space=st.sampled_from(["TD", "TP"]), data=st.data())
+def test_cond_a_meets_the_paper_stability_bound(d, space, data):
+    q = data.draw(st.integers(0, {1: 12, 2: 4, 3: {"TD": 2, "TP": 1}[space]}[d]), label="q")
+    idx = build_index_set(space, q, d)
+    N = len(idx)
+    # M/2 > R is sqrt(M) > (a + sqrt(a^2 + 4b)) / 2 with R = (a sqrt(M) + b) / 2:
+    # draw M from there on, so that no bound is inf
+    a, b = N * 2 ** d * (d - 1), N * 2 ** d
+    M_min = int(((a + math.sqrt(a * a + 4 * b)) / 2) ** 2)
+    M = data.draw(st.integers(M_min, {1: 10**5, 2: 4 * M_min, 3: 2 * M_min}[d]), label="M")
+    while not (is_prime(M) and math.isfinite(_stability_bound(M, N, d))):
+        M += 1
+    assert M > 2 * q + 1
+    cond_A = condition(weil_grid(M, d), idx, CHEBYSHEV_ORTHONORMAL).cond_A
+    assert cond_A <= _stability_bound(M, N, d), (M, cond_A)
 
 
 # ---------------------------------------------------------------------------

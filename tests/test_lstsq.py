@@ -269,15 +269,18 @@ def test_solve_equals_the_full_svd_at_one_blas_thread():
     _run_at_one_blas_thread("import test_lstsq\ntest_lstsq.solve_equals_the_full_svd()\n")
 
 
-def test_condition_factors_in_place_from_the_crossover_on(monkeypatch):
+@pytest.mark.parametrize("factor", [
+    lambda pts, idx: condition(pts, idx, CHEBYSHEV_ORTHONORMAL),
+    lambda pts, idx: solve(pts, np.ones(len(pts)), idx, CHEBYSHEV_ORTHONORMAL),
+], ids=["condition", "solve"])
+def test_svd_factors_in_place_from_the_crossover_on(monkeypatch, factor):
     # TD q=3, d=2: N = 10, crossover at m = 18.  From there np.linalg.svd
     # sees only the N x N triangular factor; below it, the whole design.
     idx = build_index_set("TD", 3, 2)
     shapes, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
     for m in (17, 18, 19, 200):
-        condition(np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2)), idx,
-                  CHEBYSHEV_ORTHONORMAL)
+        factor(np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2)), idx)
     assert shapes == [(17, 10), (10, 10), (10, 10), (10, 10)]
 
 

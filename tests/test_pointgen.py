@@ -1,12 +1,14 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from weilfit.pointgen import (arcsine_box_measure, equidist_box_fraction,
-                              is_prime, mc_sample, nearest_prime, point_array,
-                              weil_exponential_sum, weil_grid)
+from weilfit.pointgen import (arcsine_box_measure, check_memory,
+                              equidist_box_fraction, is_prime, mc_sample,
+                              nearest_prime, point_array, weil_exponential_sum,
+                              weil_grid)
 
 
 def trial_division_prime(n):
@@ -137,6 +139,15 @@ def test_weil_grid_refuses_a_grid_larger_than_physical_memory(monkeypatch):
         weil_grid(101, 2)
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: None)
     assert weil_grid(101, 2).n_points == 51  # size unknown: no guard
+
+
+def test_check_memory_passes_where_the_os_reports_no_memory_size(monkeypatch):
+    # os.sysconf raises ValueError for a name the platform does not define
+    def sysconf(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    check_memory("x", 2**80)
 
 
 # ---------------------------------------------------------------------------
