@@ -13,7 +13,9 @@ that read inf, a TP Monte Carlo conv-study with `# rep` lines and an m < N
 cell, and a TP Monte Carlo cond-study with repetitions.  Three `fit` CSVs of
 exp(-sum y) on Weil grids written by `points` are compared with
 tests/reference/fit/<name>.csv: coefficients, cond_D, cond_A and the
-residual on both sides of the crossover where solve factors in place.
+residual on both sides of the crossover where solve factors in place.  Two
+`points` runs and one `equidist` run are compared, CSV and stdout, with
+tests/reference/<command>/<name>.csv and .stdout.
 """
 
 import json
@@ -118,3 +120,22 @@ def test_fit_csv_is_byte_identical_to_the_reference(name, tmp_path):
     _run_cli(["fit", "--points", str(pts), "--values", str(vals), "--out", str(out)] + options)
     reference = ROOT / "tests" / "reference" / "fit" / f"{name}.csv"
     assert out.read_bytes() == reference.read_bytes()
+
+
+GRIDS = {
+    # the README's run: --M 1000 snaps to 997
+    "points/m1000-d2": ["points", "--M", "1000", "--d", "2"],
+    "points/m31-d1": ["points", "--M", "31", "--d", "1"],
+    "equidist/m10007-d2": ["equidist", "--M", "10007", "--d", "2",
+                           "--boxes", "0:0.5x0:0.5;-1:0x-1:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_output_is_byte_identical_to_the_reference(name, tmp_path):
+    out = tmp_path / "grid.csv"
+    stdout = _run_cli(GRIDS[name] + ["--out", str(out)])
+    reference = ROOT / "tests" / "reference" / name
+    assert out.read_bytes() == reference.with_suffix(".csv").read_bytes()
+    assert stdout.replace(f" to {out}\n", " to <out>\n") == \
+        reference.with_suffix(".stdout").read_text()
