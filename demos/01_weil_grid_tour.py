@@ -23,7 +23,7 @@ from weilfit import (arcsine_box_measure, equidist_box_fraction,
 
 M = nearest_prime(23)
 grid = weil_grid(M, d=3)
-print(f"modulus M = {M}, dimension d = 3, points = {grid.n_points} "
+print(f"modulus M = {M}, dimension d = 3, points = {len(grid.points)} "
       f"(= floor(M/2) + 1)")
 print("\nfirst rows (j, residues, point):")
 for j in range(5):

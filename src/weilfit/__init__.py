@@ -11,14 +11,12 @@ SVD, and ships diagnostics that verify the quantitative bounds.
 
 from .indexsets import (IndexSet, as_indices, build_index_set,
                         td_cardinality, tp_cardinality)
-from .pointgen import (SampleSet, WeilGrid, arcsine_box_measure,
-                       equidist_box_fraction, is_prime, mc_sample,
-                       nearest_prime, point_array, weil_exponential_sum,
-                       weil_grid)
+from .pointgen import (SampleSet, arcsine_box_measure, equidist_box_fraction,
+                       is_prime, mc_sample, nearest_prime, point_array,
+                       weil_exponential_sum, weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                         LEGENDRE_ORTHONORMAL, BasisSpec, basis_matrix,
-                        eval_1d, eval_tensor, evaluate_expansion,
-                        evaluate_expansions)
+                        eval_1d, eval_tensor, evaluate_expansions)
 from .lstsq import (ConditionReport, FitResult, SingularSystemError,
                     UNIT_WEIGHTS, WeightScheme, compute_weights, condition,
                     evaluate_fit, gram, solve)
@@ -33,12 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "IndexSet", "as_indices", "build_index_set", "td_cardinality",
     "tp_cardinality",
-    "SampleSet", "WeilGrid", "arcsine_box_measure", "equidist_box_fraction",
+    "SampleSet", "arcsine_box_measure", "equidist_box_fraction",
     "is_prime", "mc_sample", "nearest_prime", "point_array",
     "weil_exponential_sum", "weil_grid",
     "BasisSpec", "CHEBYSHEV_CLASSICAL", "CHEBYSHEV_ORTHONORMAL",
     "LEGENDRE_ORTHONORMAL", "basis_matrix", "eval_1d", "eval_tensor",
-    "evaluate_expansion", "evaluate_expansions",
+    "evaluate_expansions",
     "ConditionReport", "FitResult", "SingularSystemError", "UNIT_WEIGHTS",
     "WeightScheme", "compute_weights", "condition", "evaluate_fit", "gram",
     "solve",

@@ -78,7 +78,7 @@ def cmd_points(args) -> int:
                ["j"] + [f"y{i + 1}" for i in range(args.d)],
                ([j] + [repr(float(v)) for v in row] for j, row in enumerate(grid.points)))
     print(f"M={M}")
-    print(f"wrote {grid.n_points} points to {args.out}")
+    print(f"wrote {len(grid.points)} points to {args.out}")
     return 0
 
 

@@ -54,7 +54,6 @@ class GramBoundReport:
     offdiag_pass: bool
     diag_pass: bool
     passed: bool
-    restricted_to_nonzero_indices: bool
     n_diag_checked: int
 
 
@@ -111,7 +110,6 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
         offdiag_pass=offdiag_pass,
         diag_pass=diag_pass,
         passed=offdiag_pass and diag_pass,
-        restricted_to_nonzero_indices=restrict_nonzero,
         n_diag_checked=n_checked,
     )
 

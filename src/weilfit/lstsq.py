@@ -19,7 +19,7 @@ from numpy.linalg import lapack_lite
 
 from .indexsets import as_indices
 from .pointgen import check_memory, point_array
-from .polybasis import BasisSpec, basis_matrix, check_domain, evaluate_expansion
+from .polybasis import BasisSpec, basis_matrix, check_domain, evaluate_expansions
 
 WEIGHT_KINDS = ("unit", "density_ratio")
 TARGET_DENSITIES = ("uniform", "chebyshev")
@@ -212,7 +212,7 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
     Parameters
     ----------
-    pts : WeilGrid, SampleSet, or (npts, d) array
+    pts : SampleSet or (npts, d) array
     fvals : length-npts values of the target at the points
     index_set : IndexSet, sequence of multi-index tuples, or (N, d) int
         array (column order)
@@ -275,16 +275,18 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
 
 
 def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
-    """Evaluate the fitted polynomial at new points.
+    """Evaluate the fitted polynomial at new points, as an (npts,) array.
 
-    Streams the points through `evaluate_expansion` in row blocks of about
-    32768 entries of the design matrix, which is never held whole; at one
-    BLAS thread the values equal basis_matrix(...) @ fit.coefficients bit for
-    bit.  Non-finite coefficients raise ValueError.  To score several fits
-    on one test sample, diagnostics.l2_error takes a sequence of fits and
-    evaluates them all in one pass (polybasis.evaluate_expansions).
+    The one-fit case of polybasis.evaluate_expansions: the points stream
+    through row blocks of about 32768 entries of the design matrix, which is
+    never held whole, and at one BLAS thread the values equal
+    basis_matrix(...) @ fit.coefficients bit for bit.  Non-finite
+    coefficients raise ValueError.  To score several fits on one test
+    sample, diagnostics.l2_error takes a sequence of fits and evaluates them
+    all in one pass.
     """
-    return evaluate_expansion(fit.basis, fit.index_set, pts, fit.coefficients)
+    (values,) = evaluate_expansions(fit.basis, [fit.index_set], pts, [fit.coefficients])
+    return values
 
 
 def gram(pts, index_set, basis: BasisSpec,

@@ -28,7 +28,8 @@ import numpy as np
 # comfortably covers 64-bit moduli.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Largest modulus for which (M-1)^2 still fits in int64, i.e. isqrt(2**63 - 1).
+# Largest modulus for which M^2, and so every int64 residue product up to
+# M(M-1), fits in int64, i.e. isqrt(2**63 - 1).
 MAX_MODULUS = 3_037_000_499
 
 
@@ -107,25 +108,25 @@ def check_memory(what: str, size: int) -> None:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """A batch of Monte Carlo points in [-1,1]^d."""
+    """A point set in [-1,1]^d: a Weil grid or a Monte Carlo sample."""
 
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
-class WeilGrid:
-    """Deterministic grid y_j = cos(2*pi*(j, j^2, ..., j^d)/M), j = 0..floor(M/2)."""
-
-    M: int
-    d: int
-    points: np.ndarray    # (floor(M/2)+1, d) float64
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
+    points: np.ndarray    # (n, d) float64
 
 
-def weil_grid(M: int, d: int) -> WeilGrid:
+def _powers(js, M: int, d: int):
+    """Yield j^k mod M for k = 1..d over a window js of int64 values in
+    [0, M), exactly in int64: each product r*j <= (M-1)^2 < 2^63 for
+    M <= MAX_MODULUS.  Every yield is the same array, overwritten in place
+    by the next power."""
+    r = js % M
+    yield r
+    for _ in range(1, d):
+        np.multiply(r, js, out=r)
+        np.remainder(r, M, out=r)
+        yield r
+
+
+def weil_grid(M: int, d: int) -> SampleSet:
     """Build the deterministic grid for prime modulus M in dimension d.
 
     Parameters
@@ -135,30 +136,28 @@ def weil_grid(M: int, d: int) -> WeilGrid:
 
     Returns
     -------
-    WeilGrid with floor(M/2)+1 rows.  Row j=0 is exactly (1, ..., 1).
+    SampleSet with floor(M/2)+1 rows.  Row j=0 is exactly (1, ..., 1).
 
     Each residue column j^k mod M is computed exactly in int64 and written
-    straight into the point array, which the cosine then overwrites.  A grid
-    whose 8*d*(floor(M/2)+1) bytes of points exceed the machine's physical
-    memory is refused with ValueError before anything is allocated.
+    straight into the point array, which the cosine then overwrites.  The
+    points, the j's and one residue column take 8*(d+2)*(floor(M/2)+1)
+    bytes, tracemalloc's peak; a grid for which that exceeds the machine's
+    physical memory is refused with ValueError before anything is allocated.
     """
     M, d = int(M), int(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_modulus(M)
     m = M // 2
-    check_memory(f"the grid for M={M}, d={d}", 8 * d * (m + 1))
+    check_memory(f"the grid for M={M}, d={d}", 8 * (d + 2) * (m + 1))
     js = np.arange(m + 1, dtype=np.int64)
     points = np.empty((m + 1, d))
-    r = js % M
-    points[:, 0] = r
-    for k in range(1, d):
-        r = (r * js) % M
+    for k, r in enumerate(_powers(js, M, d)):
         points[:, k] = r
     points *= 2.0 * np.pi
     points /= M
     np.cos(points, out=points)
-    return WeilGrid(M, d, points)
+    return SampleSet(points)
 
 
 def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
@@ -185,7 +184,7 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
 
 
 def point_array(pts) -> np.ndarray:
-    """Normalize a WeilGrid, SampleSet, or array-like into an (n, d) float array."""
+    """Normalize a SampleSet or array-like into an (n, d) float array."""
     arr = getattr(pts, "points", pts)
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
@@ -193,6 +192,17 @@ def point_array(pts) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"points must form a 2-d array, got shape {arr.shape}")
     return arr
+
+
+def _polynomial_residues(cmod, js, M: int) -> np.ndarray:
+    """f(j) mod M for f(x) = c_1 x + ... + c_d x^d over a window js of int64
+    values in [0, M), with cmod the c_k mod M, by int64 Horner evaluation:
+    each step's acc*j + c <= (M-1)^2 + (M-1) = M(M-1) < 2^63 for
+    M <= MAX_MODULUS, so every residue is exact."""
+    acc = np.zeros(js.shape[0], dtype=np.int64)
+    for c in reversed(cmod):  # Horner: f(x) = x*(c_1 + x*(c_2 + ...))
+        acc = (acc * js + c) % M
+    return (acc * js) % M
 
 
 def weil_exponential_sum(coeffs, M: int) -> complex:
@@ -217,11 +227,7 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
             "hypothesis fails"
         )
     check_memory(f"the exponential sum for M={M}", 48 * M)
-    js = np.arange(M, dtype=np.int64)
-    acc = np.zeros(M, dtype=np.int64)
-    for c in reversed(cmod):  # Horner: f(x) = x*(c_1 + x*(c_2 + ...))
-        acc = (acc * js + c) % M
-    acc = (acc * js) % M
+    acc = _polynomial_residues(cmod, np.arange(M, dtype=np.int64), M)
     return complex(np.exp((2j * np.pi / M) * acc).sum())
 
 

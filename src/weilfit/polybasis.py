@@ -321,17 +321,3 @@ def _passes(levels, m, N, expansions, held):
         while outs:
             yield outs.pop()
 
-
-def evaluate_expansion(spec: BasisSpec, index_set, pts, coeffs) -> np.ndarray:
-    """Values sum_j coeffs[j] Phi_{n_j}(y_i) at every point, as an (m,) array.
-
-    The one-expansion case of evaluate_expansions: equal to
-    basis_matrix(spec, index_set, pts) @ coeffs bit for bit at one BLAS
-    thread (see _row_blocks), but D is never formed: each block of rows is
-    built into one reusable buffer and multiplied by coeffs straight into
-    the output.  Memory is the d*(qmax+1)*m floats of the 1-d tables plus a
-    few temporaries of about _BLOCK_ENTRIES floats each, instead of the m*N
-    of D.  coeffs must hold one finite value per index; otherwise ValueError.
-    """
-    (values,) = evaluate_expansions(spec, [index_set], pts, [coeffs])
-    return values

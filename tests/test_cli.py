@@ -224,7 +224,7 @@ def test_run_hands_values_the_evaluated_cells_in_q_rep_order():
         for q in (2, 3, 4)]
     # d=1, linear c=1: m = N = q + 1 is evaluated
     cfg = StudyConfig(d=1, q_min=1, q_max=2, scaling="linear", c=1.0)
-    rows, _ = run(cfg, lambda cells: [float(pts.n_points) for pts, _ in cells])
+    rows, _ = run(cfg, lambda cells: [float(len(pts.points)) for pts, _ in cells])
     assert rows == [(1, 2, 2, 3, 2.0), (2, 3, 3, 5, 3.0)]
 
 

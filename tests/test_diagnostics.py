@@ -14,7 +14,7 @@ from weilfit.indexsets import as_indices, build_index_set
 from weilfit.lstsq import UNIT_WEIGHTS, WeightScheme, condition, gram, solve
 from weilfit.pointgen import is_prime, weil_grid, weil_exponential_sum
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
-                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, evaluate_expansion)
+                               LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, evaluate_expansions)
 from weilfit.study import StudyConfig, realize_cell
 from weilfit.targets import TARGET_NAMES, coefficients, make
 
@@ -37,7 +37,6 @@ def test_check_gram_bounds_d2_report():
     assert (r.M, r.d, r.q) == (97, 2, 2)
     assert r.offdiag_bound == (math.sqrt(97) + 1) / 2
     assert r.offdiag_pass and r.diag_pass and r.passed
-    assert r.restricted_to_nonzero_indices
     assert r.n_diag_checked == 4  # (1,1),(1,2),(2,1),(2,2)
     lo, hi = r.diag_bounds
     assert lo == 97 / 8 - math.sqrt(97) / 2
@@ -69,7 +68,6 @@ def test_check_gram_bounds_d1_diagonal_is_m_quarter_plus_half():
 def test_check_gram_bounds_generalized_per_index():
     idx = build_index_set("TD", 2, 2)  # includes zero-component indices
     r = check_gram_bounds(97, idx, restrict_nonzero=False)
-    assert not r.restricted_to_nonzero_indices
     assert r.n_diag_checked == len(idx)
     assert r.diag_pass and r.passed
     # the (0,0) diagonal entry is exactly the point count m = M//2 + 1
@@ -382,10 +380,11 @@ def test_weil_fit_meets_the_paper_convergence_estimate(d, space):
                 fit = solve(grid, f_grid, idx, spec)
                 p = reference_projection(f, idx, spec, L)
                 lam_min = np.linalg.eigvalsh(gram(grid, idx, spec) / m)[0]
-                lhs = rms(f_nodes - evaluate_expansion(spec, idx, nodes, fit.coefficients))
-                rhs = (rms(f_nodes - evaluate_expansion(spec, idx, nodes, p))
-                       + rms(f_grid - evaluate_expansion(spec, idx, grid.points, p))
-                       / math.sqrt(lam_min))
+                fit_nodes, p_nodes = evaluate_expansions(spec, [idx, idx], nodes,
+                                                         [fit.coefficients, p])
+                (p_grid,) = evaluate_expansions(spec, [idx], grid.points, [p])
+                lhs = rms(f_nodes - fit_nodes)
+                rhs = rms(f_nodes - p_nodes) + rms(f_grid - p_grid) / math.sqrt(lam_min)
                 assert lhs <= rhs, (target, scaling, c, q, lhs, rhs)
 
 

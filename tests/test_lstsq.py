@@ -159,7 +159,7 @@ def test_condition_matches_solve_and_is_inf_when_underdetermined():
     g = weil_grid(211, 2)
     scheme = WeightScheme("density_ratio", "uniform")
     got = condition(g, idx, LEGENDRE_ORTHONORMAL, scheme)
-    want = solve(g, np.ones(g.n_points), idx, LEGENDRE_ORTHONORMAL, scheme).condition_report
+    want = solve(g, np.ones(len(g.points)), idx, LEGENDRE_ORTHONORMAL, scheme).condition_report
     assert math.isclose(got.cond_D, want.cond_D, rel_tol=1e-12)
     assert math.isclose(got.cond_A, want.cond_A, rel_tol=1e-12)
     few = condition(weil_grid(11, 2), idx, LEGENDRE_ORTHONORMAL)  # m = 6 < N = 15
@@ -491,7 +491,7 @@ def test_gram_checks_the_memory_of_its_design_and_two_gram_matrices(monkeypatch)
     # temporaries; the check adds the N x N copy spectral_gap's LAPACK takes
     idx = build_index_set("TD", 30, 2)
     g = weil_grid(211, 2)
-    held = 8 * (g.n_points * len(idx) + len(idx) ** 2)
+    held = 8 * (len(g.points) * len(idx) + len(idx) ** 2)
     need = held + 8 * len(idx) ** 2
     tracemalloc.start()
     try:

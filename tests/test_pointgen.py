@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weilfit.pointgen import (arcsine_box_measure, check_memory,
+from weilfit.pointgen import (MAX_MODULUS, _polynomial_residues, _powers,
+                              arcsine_box_measure, check_memory,
                               equidist_box_fraction, is_prime, mc_sample,
                               nearest_prime, point_array, weil_exponential_sum,
                               weil_grid)
@@ -82,7 +85,7 @@ def test_nearest_prime_rejects_below_two():
 
 def test_weil_grid_residue_example():
     g = weil_grid(7, 3)
-    assert g.n_points == 4
+    assert len(g.points) == 4
     R = np.array([pow(3, k + 1, 7) for k in range(3)])
     assert R.tolist() == [3, 2, 6]  # 3^2=9=2, 3^3=27=6 (mod 7)
     assert np.array_equal(g.points[3], np.cos(2.0 * np.pi * R / 7))
@@ -107,7 +110,7 @@ def test_weil_grid_row_zero_exactly_ones():
 def test_weil_grid_row_count_and_range():
     for M in (2, 3, 5, 101, 997):
         g = weil_grid(M, 2)
-        assert g.n_points == M // 2 + 1
+        assert len(g.points) == M // 2 + 1
         assert np.all(np.abs(g.points) <= 1.0)
 
 
@@ -115,7 +118,7 @@ def test_weil_grid_residues_match_modular_pow_oracle():
     primes = [M for M in range(2, 102) if trial_division_prime(M)]
     for M in primes:
         g = weil_grid(M, 5)
-        R = np.array([[pow(j, k + 1, M) for k in range(5)] for j in range(g.n_points)])
+        R = np.array([[pow(j, k + 1, M) for k in range(5)] for j in range(len(g.points))])
         assert np.array_equal(g.points, np.cos(2.0 * np.pi * R / M))
 
 
@@ -131,14 +134,30 @@ def test_weil_grid_rejects_bad_input():
 
 
 def test_weil_grid_refuses_a_grid_larger_than_physical_memory(monkeypatch):
-    # 8*d*(M//2+1) bytes: 256 for (31, 2), 816 for (101, 2); the stand-in
-    # memory size keeps the refused grid tiny
-    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 500)
-    assert weil_grid(31, 2).n_points == 16
-    with pytest.raises(ValueError, match="physical memory"):
-        weil_grid(101, 2)
+    # 8*(d+2)*(M//2+1) bytes: 512 for (31, 2), against stand-in memory
+    # sizes just above and just below
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 512)
+    assert len(weil_grid(31, 2).points) == 16
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 511)
+    with pytest.raises(ValueError, match=r"^the grid for M=31, d=2 needs .* physical memory"):
+        weil_grid(31, 2)
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: None)
-    assert weil_grid(101, 2).n_points == 51  # size unknown: no guard
+    assert len(weil_grid(101, 2).points) == 51  # size unknown: no guard
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_weil_grid_peak_memory_is_its_checked_size(d):
+    # the points, the j's and one residue column, 8*(d+2)*(M//2+1) bytes,
+    # are tracemalloc's peak, up to a few hundred bytes of small objects
+    M = 100003
+    need = 8 * (d + 2) * (M // 2 + 1)
+    tracemalloc.start()
+    try:
+        weil_grid(M, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak <= need + 4096
 
 
 def test_check_memory_passes_where_the_os_reports_no_memory_size(monkeypatch):
@@ -264,6 +283,49 @@ def test_weil_sum_rejects_degenerate_input():
         weil_exponential_sum([], 7)
     with pytest.raises(ValueError, match="exceeds"):
         weil_exponential_sum([1], 3037000507)
+
+
+# ---------------------------------------------------------------------------
+# exact residues at the modulus limit
+
+LARGEST_PRIME = 3037000493  # the largest prime <= MAX_MODULUS
+
+
+@st.composite
+def limit_windows(draw):
+    """(M, js): a prime M, often near LARGEST_PRIME, and a window of up to
+    64 consecutive j's ending near M//2 (the grid's last row) or at M-1."""
+    M = nearest_prime(draw(st.one_of(st.integers(3, LARGEST_PRIME),
+                                      st.integers(LARGEST_PRIME - 10**6, LARGEST_PRIME))))
+    stop = draw(st.sampled_from([M // 2 + 1 - draw(st.integers(0, min(32, M // 2))), M]))
+    start = max(0, stop - draw(st.integers(1, 64)))
+    return M, list(range(start, stop))
+
+
+def exact_horner(cmod, j, M):
+    acc = 0
+    for c in reversed(cmod):
+        acc = (acc * j + c) % M
+    return acc * j % M
+
+
+# acc*j + c reaches M(M-1), the bound on every Horner step, at j = M-1 with
+# two top coefficients M-1 (acc = M-1, then (M-1)^2 + (M-1))
+@settings(max_examples=200, deadline=None)
+@given(window=limit_windows(), d=st.integers(1, 8),
+       coeffs=st.lists(st.one_of(st.just(-1), st.integers(0, 2**63)), min_size=1, max_size=8))
+@example(window=(LARGEST_PRIME, [LARGEST_PRIME - 1]), d=8, coeffs=[-1] * 8)
+@example(window=(LARGEST_PRIME, list(range(LARGEST_PRIME // 2 - 7, LARGEST_PRIME // 2 + 1))),
+         d=8, coeffs=[-1, 0, -1])
+def test_residues_are_exact_at_the_modulus_limit(window, d, coeffs):
+    M, js = window
+    assert is_prime(M) and M <= MAX_MODULUS
+    window_js = np.array(js, dtype=np.int64)
+    powers = [r.tolist() for r in _powers(window_js, M, d)]
+    assert powers == [[pow(j, k, M) for j in js] for k in range(1, d + 1)]
+    cmod = [c % M for c in coeffs]
+    got = _polynomial_residues(cmod, window_js, M)
+    assert got.tolist() == [exact_horner(cmod, j, M) for j in js]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from weilfit.pointgen import weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, _BLOCK_ENTRIES, BasisSpec,
                                basis_matrix, eval_1d, eval_tensor,
-                               evaluate_expansion, evaluate_expansions)
+                               evaluate_expansions)
 
 
 def test_basis_spec_validation():
@@ -226,10 +226,8 @@ def test_streamed_evaluation_is_bit_identical_to_full_product(spec, idx, data, s
     assume(m * len(idx) <= 2**18)
     pts = _points(seed, m, idx.shape[1])
     c = np.random.default_rng(seed).standard_normal(len(idx))
-    want = basis_matrix(spec, idx, pts) @ c
-    assert np.array_equal(evaluate_expansion(spec, idx, pts, c), want)
     fit = FitResult(c, idx, spec, 0.0, ConditionReport(1.0, 1.0))
-    assert np.array_equal(evaluate_fit(fit, pts), want)
+    assert np.array_equal(evaluate_fit(fit, pts), basis_matrix(spec, idx, pts) @ c)
 
 
 def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
@@ -240,13 +238,13 @@ def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
     script = (
         "import numpy as np\n"
         "from weilfit import LEGENDRE_ORTHONORMAL as S, basis_matrix, build_index_set\n"
-        "from weilfit.polybasis import evaluate_expansion\n"
+        "from weilfit.polybasis import evaluate_expansions\n"
         "idx = build_index_set('TD', 12, 3)\n"
         "assert len(idx) == 455\n"
         f"pts = np.random.default_rng(5).uniform(-1, 1, ({m}, 3))\n"
         "c = np.random.default_rng(6).standard_normal(len(idx))\n"
-        "assert np.array_equal(evaluate_expansion(S, idx, pts, c),\n"
-        "                      basis_matrix(S, idx, pts) @ c)\n"
+        "(values,) = evaluate_expansions(S, [idx], pts, [c])\n"
+        "assert np.array_equal(values, basis_matrix(S, idx, pts) @ c)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
@@ -267,7 +265,7 @@ def test_streamed_evaluation_never_holds_the_design_matrix():
     c = np.ones(len(idx))
     tracemalloc.start()
     try:
-        evaluate_expansion(LEGENDRE_ORTHONORMAL, idx, pts, c)
+        list(evaluate_expansions(LEGENDRE_ORTHONORMAL, [idx], pts, [c]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,21 +364,21 @@ def test_shared_pass_rejects_sets_outside_the_largest_one():
         evaluate_expansions(CHEBYSHEV_CLASSICAL, [big, big], pts, [np.ones(len(big))])
 
 
-def test_evaluate_expansion_checks_coefficient_shape():
+def test_evaluate_expansions_checks_coefficient_shape():
     idx = build_index_set("TD", 2, 2)
     pts = np.zeros((3, 2))
     for c in (np.ones(len(idx) + 1), np.ones((len(idx), 1))):
         with pytest.raises(ValueError, match="coeffs has shape"):
-            evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, pts, c)
+            evaluate_expansions(CHEBYSHEV_CLASSICAL, [idx], pts, [c])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_evaluate_expansion_rejects_non_finite_coefficients(bad):
+def test_evaluate_expansions_rejects_non_finite_coefficients(bad):
     idx = build_index_set("TD", 2, 2)
     c = np.ones(len(idx))
     c[3] = bad
     with pytest.raises(ValueError, match="coeffs must be finite"):
-        evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, np.zeros((3, 2)), c)
+        evaluate_expansions(CHEBYSHEV_CLASSICAL, [idx], np.zeros((3, 2)), [c])
 
 
 def test_design_and_expansions_reject_an_empty_point_set():
@@ -388,7 +386,7 @@ def test_design_and_expansions_reject_an_empty_point_set():
     with pytest.raises(ValueError, match="^empty point set$"):
         basis_matrix(CHEBYSHEV_CLASSICAL, idx, np.zeros((0, 2)))
     with pytest.raises(ValueError, match="^empty point set$"):
-        evaluate_expansion(CHEBYSHEV_CLASSICAL, idx, np.zeros((0, 2)), np.ones(len(idx)))
+        evaluate_expansions(CHEBYSHEV_CLASSICAL, [idx], np.zeros((0, 2)), [np.ones(len(idx))])
 
 
 def test_design_and_expansions_reject_points_of_another_dimension():
@@ -396,7 +394,7 @@ def test_design_and_expansions_reject_points_of_another_dimension():
     with pytest.raises(ValueError, match=r"^point dimension 3 != index dimension 2$"):
         basis_matrix(CHEBYSHEV_CLASSICAL, idx, np.zeros((4, 3)))
     with pytest.raises(ValueError, match=r"^point dimension 1 != index dimension 2$"):
-        evaluate_expansion(LEGENDRE_ORTHONORMAL, idx, np.zeros(4), np.ones(len(idx)))
+        evaluate_expansions(LEGENDRE_ORTHONORMAL, [idx], np.zeros(4), [np.ones(len(idx))])
 
 
 def test_basis_matrix_larger_than_physical_memory_raises(monkeypatch):
