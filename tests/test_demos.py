@@ -1,5 +1,8 @@
 """Every demo, the README's python quickstart and every line of its CLI block
-run to the end with exit code 0 and nothing on stderr."""
+run to the end with exit code 0 and nothing on stderr.  At one BLAS thread
+the stdout of each demo and of the quickstart is byte-identical to
+tests/reference/demos/<name>.stdout (05_weighted_legendre.py prints other
+last digits at two threads, so the comparison pins the thread count)."""
 
 import os
 import re
@@ -15,16 +18,27 @@ from weilfit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference" / "demos"
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
-def _run(args, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep
+def _run(args, cwd, **env):
+    """stdout of python with args, after checking exit 0 and no stderr."""
+    env = dict(os.environ, **env, PYTHONPATH=str(ROOT / "src") + os.pathsep
                + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+    return proc.stdout
+
+
+def _quickstart():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
 
 
 def test_there_are_five_demos():
@@ -36,11 +50,20 @@ def test_demo_runs_cleanly(demo, tmp_path):
     _run([str(demo)], tmp_path)
 
 
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_stdout_is_byte_identical_to_the_reference(demo, tmp_path):
+    out = _run([str(demo)], tmp_path, **ONE_THREAD)
+    assert out == (REFERENCE / f"{demo.stem}.stdout").read_text()
+
+
 def test_readme_quickstart_runs_cleanly(tmp_path):
     # the README's one python block; an API change that breaks it fails here
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    assert len(blocks) == 1
-    _run(["-c", blocks[0]], tmp_path)
+    _run(["-c", _quickstart()], tmp_path)
+
+
+def test_readme_quickstart_stdout_is_byte_identical_to_the_reference(tmp_path):
+    out = _run(["-c", _quickstart()], tmp_path, **ONE_THREAD)
+    assert out == (REFERENCE / "readme-quickstart.stdout").read_text()
 
 
 def test_readme_cli_block_runs_cleanly(tmp_path, monkeypatch, capsys):
