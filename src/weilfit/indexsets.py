@@ -1,11 +1,11 @@
 """Multi-index sets for tensor-product and total-degree polynomial spaces.
 
 An index set has one numeric format: a read-only (N, d) int64 array whose row
-j is the multi-index of column j of the design matrix.  An IndexSet is that
-array plus its (kind, q, d).  `as_indices` is the one place that turns a
-caller's index set (an IndexSet, a sequence of equal-length integer tuples, or
-an (N, d) integer array) into it and rejects malformed input.  Every other
-module works on that array.
+j is the multi-index of column j of the design matrix.  An IndexSet is only
+that array, built and so validated by `build_index_set`.  `as_indices` is the
+one place that turns a caller's index set (an IndexSet, a sequence of
+equal-length integer tuples, or an (N, d) integer array) into it and rejects
+malformed input.  Every other module works on that array.
 """
 
 from __future__ import annotations
@@ -22,20 +22,15 @@ KINDS = ("TP", "TD")
 
 @dataclass(frozen=True, eq=False)
 class IndexSet:
-    """An ordered multi-index set.
+    """An ordered multi-index set: `array`, the multi-indices as a
+    read-only (N, d) int64 array, rows in canonical order (total order
+    first, then lexicographic).
 
-    kind  -- "TP" (max_i n_i <= q) or "TD" (sum_i n_i <= q)
-    q     -- order parameter
-    d     -- number of coordinates
-    array -- the multi-indices as a read-only (N, d) int64 array, rows in
-             canonical order: total order first, then lexicographic
-
-    Iterating yields the rows as tuples of ints.
+    The type records that build_index_set made, and so validated, the
+    array: as_indices returns it without checking it again.  Iterating
+    yields the rows as tuples of ints.
     """
 
-    kind: str
-    q: int
-    d: int
     array: np.ndarray
 
     @property
@@ -82,14 +77,23 @@ def build_index_set(kind: str, q: int, d: int) -> IndexSet:
         rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
     array = rows[np.argsort(rows.sum(axis=1), kind="stable")]
     array.flags.writeable = False
-    return IndexSet(kind, q, d, array)
+    return IndexSet(array)
 
 
-def _to_array(raw) -> np.ndarray:
-    """Validate a sequence of multi-indices and return it as a read-only
-    (N, d) int64 array."""
+def as_indices(index_set) -> np.ndarray:
+    """The index set as a read-only (N, d) int64 array, row j = the j-th
+    multi-index.
+
+    An IndexSet returns its `array` (no copy, no check: build_index_set
+    made it).  A plain sequence of equal-length integer tuples, or an (N, d)
+    integer array, is validated and copied.  Raises ValueError on empty
+    input, ragged lengths, negative entries, or entries of a non-integer
+    type (1.5 and 1.0 alike).
+    """
+    if isinstance(index_set, IndexSet):
+        return index_set.array
     try:
-        arr = np.asarray(raw)
+        arr = np.asarray(index_set)
     except ValueError:  # numpy refuses nested sequences of unequal lengths
         raise ValueError("ragged multi-index lengths") from None
     if arr.size == 0:
@@ -104,17 +108,3 @@ def _to_array(raw) -> np.ndarray:
         raise ValueError(f"negative entry in multi-index {n}")
     arr.flags.writeable = False
     return arr
-
-
-def as_indices(index_set) -> np.ndarray:
-    """The index set as a read-only (N, d) int64 array, row j = the j-th
-    multi-index.
-
-    An IndexSet returns its `array` (no copy).  A plain sequence of
-    equal-length integer tuples, or an (N, d) integer array, is validated and
-    copied.  Raises ValueError on empty input, ragged lengths, negative
-    entries, or entries of a non-integer type (1.5 and 1.0 alike).
-    """
-    if isinstance(index_set, IndexSet):
-        return index_set.array
-    return _to_array(index_set)

@@ -184,13 +184,21 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
 
 
 def point_array(pts) -> np.ndarray:
-    """Normalize a SampleSet or array-like into an (n, d) float array."""
+    """A SampleSet or array-like as an (n, d) float array (a 1-d input is
+    one column): the one point-set rule, which every function that takes
+    points applies.  ValueError unless the array is 2-d and nonempty and
+    every coordinate is finite and in [-1, 1]."""
     arr = getattr(pts, "points", pts)
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"points must form a 2-d array, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise ValueError("empty point set")
+    if not np.all(np.abs(arr) <= 1.0):  # also false for NaN
+        bad = float(np.max(np.abs(arr)))
+        raise ValueError(f"evaluation points must lie in [-1,1]; max |y| = {bad}")
     return arr
 
 
@@ -242,7 +250,9 @@ def _validate_box(box, d):
 
 
 def equidist_box_fraction(pts, box) -> float:
-    """Fraction of points lying in the closed box prod_i [a_i, b_i]."""
+    """Fraction of points lying in the closed box prod_i [a_i, b_i].  The
+    points follow point_array's rule: an empty set, a NaN or a coordinate
+    outside [-1, 1] raises ValueError, never gives NaN or counts as outside."""
     arr = point_array(pts)
     box = _validate_box(box, arr.shape[1])
     inside = np.ones(arr.shape[0], dtype=bool)

@@ -61,13 +61,6 @@ CHEBYSHEV_ORTHONORMAL = BasisSpec("chebyshev", "orthonormal")
 LEGENDRE_ORTHONORMAL = BasisSpec("legendre", "orthonormal")
 
 
-def check_domain(y) -> None:
-    """Raise ValueError unless every coordinate is finite and in [-1, 1]."""
-    if not np.all(np.abs(y) <= 1.0):  # also false for NaN
-        bad = float(np.max(np.abs(y)))
-        raise ValueError(f"evaluation points must lie in [-1,1]; max |y| = {bad}")
-
-
 def _tables(spec, y, qmax):
     """(qmax+1, npts) table of 1-d values: row n holds phi_n(y).
 
@@ -99,11 +92,11 @@ def _tables(spec, y, qmax):
 def eval_1d(family: str, normalization: str, n: int, y):
     """Evaluate the 1-d basis function of order n at y (scalar or array).
 
-    Raises ValueError for |y| > 1 or NaN y, an order n that is not a
-    nonnegative int (bools included), or an invalid (family, normalization)
-    pair.  The value is row n of the table of orders 0..n, so
-    time and memory grow as n * len(y); it is the pointwise reference, meant
-    for small orders.
+    Raises ValueError for y that break point_array's rule (none, NaN or
+    |y| > 1), an order n that is not a nonnegative int (bools included),
+    or an invalid (family, normalization) pair.  The value is row n of the
+    table of orders 0..n, so time and memory grow as n * len(y); it is the
+    pointwise reference, meant for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
     if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
@@ -111,10 +104,8 @@ def eval_1d(family: str, normalization: str, n: int, y):
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     arr = np.asarray(y, dtype=float)
-    check_domain(arr)
-    scalar = arr.ndim == 0
-    vals = _tables(spec, np.atleast_1d(arr), n)[n]
-    return float(vals[0]) if scalar else vals
+    vals = _tables(spec, point_array(arr.reshape(-1))[:, 0], n)[n]
+    return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
 
 def eval_tensor(spec: BasisSpec, n, y):
@@ -128,9 +119,7 @@ def eval_tensor(spec: BasisSpec, n, y):
     n = as_indices([n])[0].tolist()
     arr = np.asarray(y, dtype=float)
     single = arr.ndim == 1
-    pts = arr[None, :] if single else point_array(arr)
-    if pts.shape[1] != len(n):
-        raise ValueError(f"point dimension {pts.shape[1]} != index dimension {len(n)}")
+    pts = _points(arr[None, :] if single else arr, len(n))
     acc = eval_1d(spec.family, spec.normalization, n[0], pts[:, 0])
     for i in range(1, len(n)):
         acc = acc * eval_1d(spec.family, spec.normalization, n[i], pts[:, i])
@@ -144,13 +133,10 @@ _BLOCK_ENTRIES = 32768
 
 
 def _points(pts, d):
-    """Validated (m, d) point array for indices of dimension d."""
+    """point_array(pts), of points of dimension d."""
     arr = point_array(pts)
-    if arr.shape[0] == 0:
-        raise ValueError("empty point set")
     if arr.shape[1] != d:
         raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
-    check_domain(arr)
     return arr
 
 

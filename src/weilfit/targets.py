@@ -64,7 +64,8 @@ def coefficients(target: str, d: int, seed: int | None = None) -> tuple:
 
 
 def make(target: str, coeffs) -> "callable":
-    """Build the target as a vectorized callable on (npts, d) point arrays."""
+    """Build the target as a vectorized callable on (npts, d) point arrays,
+    d = len(coeffs), which it validates by point_array's rule."""
     if target not in TARGET_NAMES:
         raise ValueError(f"unknown target {target!r}; expected one of {TARGET_NAMES}")
     c = np.asarray(coeffs, dtype=float)

@@ -207,11 +207,11 @@ def test_run_hands_values_the_evaluated_cells_in_q_rep_order():
 
     def values(cells):
         seen.extend(cells)
-        return [10.0 * index_set.q + k for k, (_, index_set) in enumerate(seen)]
+        return [10.0 * index_set.array.max() + k for k, (_, index_set) in enumerate(seen)]
 
     rows, reps = run(cfg, values)
     cells = [(q, rep) for q in (2, 3, 4) for rep in range(3)]
-    assert [index_set.q for _, index_set in seen] == [q for q, _ in cells]
+    assert [index_set.array.max() for _, index_set in seen] == [q for q, _ in cells]
     for (q, rep), (pts, index_set) in zip(cells, seen):
         want_set, N, m, M = realize_cell(cfg, q)
         assert np.array_equal(index_set.array, want_set.array)

@@ -294,7 +294,7 @@ def test_shared_pass_is_bit_identical_to_each_full_product(spec, sets, data, see
     N = max(len(s) for s in sets)
     m = _rows_at_block_edges(data, N, 3)
     assume(m * N <= 2**18)  # see the guard above
-    pts = _points(seed, m, sets[0].d)
+    pts = _points(seed, m, sets[0].array.shape[1])
     rng = np.random.default_rng(seed)
     cs = [rng.standard_normal(len(s)) for s in sets]
     got = list(evaluate_expansions(spec, sets, pts, cs))
