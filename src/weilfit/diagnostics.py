@@ -30,8 +30,8 @@ import numpy as np
 
 from .indexsets import as_indices, build_index_set
 from .lstsq import UNIT_WEIGHTS, FitResult, gram
-from .pointgen import (check_memory, is_prime, mc_sample, weil_exponential_sum,
-                       weil_grid)
+from .pointgen import (_integer, check_memory, is_prime, mc_sample,
+                       weil_exponential_sum, weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix,
                         evaluate_expansions)
 
@@ -61,7 +61,7 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     """Build the unit-weight classical-Chebyshev Gram matrix on the grid with
     modulus M and compare its entries against the analytic bounds.
 
-    Requires prime M > 2q+1 where q is the largest index component.  With
+    Requires an int prime M > 2q+1, q the largest index component.  With
     restrict_nonzero=True the diagonal check covers only indices whose
     components are all nonzero, against the printed target
     [M/2^{d+1} - (d-1)sqrt(M)/2, M/2^{d+1} + (d-1)sqrt(M)/2] (vacuous pass if
@@ -72,7 +72,7 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     idx = as_indices(index_set)
     N, d = idx.shape
     q = int(idx.max())
-    M = int(M)
+    M = _integer("M", M)
     if M <= 2 * q + 1:
         raise ValueError(
             f"modulus M={M} violates the bound hypothesis M > 2q+1 = {2 * q + 1}"

@@ -33,9 +33,17 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_MODULUS = 3_037_000_499
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: ValueError unless it is an int or a numpy integer
+    (bools excluded), so 7.5 or 7.0 is refused, never truncated."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 2**64)."""
-    n = int(n)
+    n = _integer("n", n)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -62,9 +70,9 @@ def is_prime(n: int) -> bool:
 def nearest_prime(target: int) -> int:
     """Prime closest to target; equidistant ties resolve upward.
 
-    Requires target >= 2.
+    Requires an int target >= 2.
     """
-    target = int(target)
+    target = _integer("target", target)
     if target < 2:
         raise ValueError(f"nearest_prime requires target >= 2, got {target}")
     delta = 0
@@ -131,8 +139,9 @@ def weil_grid(M: int, d: int) -> SampleSet:
 
     Parameters
     ----------
-    M : prime modulus, at most 3 037 000 499 (validated; else ValueError)
+    M : prime modulus, at most 3 037 000 499
     d : dimension, >= 1
+    (both ints, validated; else ValueError)
 
     Returns
     -------
@@ -144,7 +153,7 @@ def weil_grid(M: int, d: int) -> SampleSet:
     bytes, tracemalloc's peak; a grid for which that exceeds the machine's
     physical memory is refused with ValueError before anything is allocated.
     """
-    M, d = int(M), int(d)
+    M, d = _integer("M", M), _integer("d", d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_modulus(M)
@@ -167,19 +176,26 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
     U uniform on [0,1).  measure = "uniform": uniform on [-1,1]^d.
 
     The generator is numpy's PCG64 seeded with `seed`; identical
-    (measure, n, d, seed) inputs reproduce bit-identical points.
+    (measure, n, d, seed) inputs reproduce bit-identical points.  n and d
+    are ints (else ValueError).  The cosine is taken in place, so the
+    8*n*d bytes of the points are tracemalloc's peak; a sample for which
+    they exceed the machine's physical memory is refused with ValueError
+    before anything is drawn.
     """
+    n, d = _integer("n", n), _integer("d", d)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if measure == "chebyshev":
-        pts = np.cos(np.pi * rng.random((n, d)))
-    elif measure == "uniform":
-        pts = rng.uniform(-1.0, 1.0, size=(n, d))
-    else:
+    if measure not in ("chebyshev", "uniform"):
         raise ValueError(f"unknown measure {measure!r}; expected 'chebyshev' or 'uniform'")
+    check_memory(f"the {n} x {d} {measure} sample", 8 * n * d)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if measure == "uniform":
+        return SampleSet(rng.uniform(-1.0, 1.0, size=(n, d)))
+    pts = rng.random((n, d))
+    pts *= np.pi
+    np.cos(pts, out=pts)
     return SampleSet(pts)
 
 
@@ -218,15 +234,16 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
     f(x) = c_1 x + c_2 x^2 + ... + c_d x^d (no constant term).
 
     Requires prime M and at least one coefficient not divisible by M, the
-    hypotheses of Weil's bound |sum| <= (d-1)*sqrt(M).  The residues f(j) mod M
+    hypotheses of Weil's bound |sum| <= (d-1)*sqrt(M); M and the
+    coefficients are ints (else ValueError).  The residues f(j) mod M
     are computed by exact int64 Horner evaluation, so M <= 3 037 000 499; each
     term contributes one complex exponential.  The arrays of M entries take
     48*M bytes at their peak; a sum whose arrays exceed the machine's physical
     memory is refused with ValueError before anything is allocated.
     """
-    M = int(M)
+    M = _integer("M", M)
     _check_modulus(M)
-    cmod = [int(c) % M for c in coeffs]
+    cmod = [_integer("coefficient", c) % M for c in coeffs]
     if not cmod:
         raise ValueError("empty coefficient list")
     if all(c == 0 for c in cmod):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import as_indices
-from .pointgen import check_memory, point_array
+from .pointgen import _integer, check_memory, point_array
 
 FAMILIES = ("chebyshev", "legendre")
 NORMALIZATIONS = ("classical", "orthonormal")
@@ -99,8 +99,7 @@ def eval_1d(family: str, normalization: str, n: int, y):
     pointwise reference, meant for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"order n must be an int, got {n!r}")
+    n = _integer("order n", n)
     if n < 0:
         raise ValueError(f"order n must be >= 0, got {n}")
     arr = np.asarray(y, dtype=float)

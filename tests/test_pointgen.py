@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,10 @@ from weilfit.pointgen import (MAX_MODULUS, _polynomial_residues, _powers,
                               equidist_box_fraction, is_prime, mc_sample,
                               nearest_prime, point_array, weil_exponential_sum,
                               weil_grid)
+from weilfit import (CHEBYSHEV_CLASSICAL, LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS,
+                     WeightScheme, basis_matrix, build_index_set,
+                     check_gram_bounds, compute_weights, condition, eval_1d,
+                     eval_tensor, evaluate_expansions, gram, solve, targets)
 
 
 def trial_division_prime(n):
@@ -200,6 +205,35 @@ def test_mc_sample_distributions():
     assert abs(frac - 1 / 6) < 0.01
 
 
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("measure", ["uniform", "chebyshev"])
+def test_mc_sample_peak_memory_is_its_checked_size(measure, d):
+    # the points, 8*n*d bytes, are tracemalloc's peak: the cosine of the
+    # chebyshev draw is taken in place, up to a few small objects
+    n = 100003
+    need = 8 * n * d
+    tracemalloc.start()
+    try:
+        mc_sample(measure, n, d, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak <= need + 4096
+
+
+def test_mc_sample_refuses_a_sample_larger_than_physical_memory(monkeypatch):
+    # 8*n*d bytes: 160 for (10, 2), against stand-in memory sizes just above
+    # and just below; 10**12 points are refused, not handed to the allocator
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 160)
+    assert mc_sample("chebyshev", 10, 2, 0).points.shape == (10, 2)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 159)
+    with pytest.raises(ValueError, match=r"^the 10 x 2 chebyshev sample needs .* physical memory"):
+        mc_sample("chebyshev", 10, 2, 0)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 2**33)
+    with pytest.raises(ValueError, match=r"^the 1000000000000 x 2 uniform sample needs 14901\.2 GiB"):
+        mc_sample("uniform", 10**12, 2, 0)
+
+
 def test_mc_sample_rejects_bad_input():
     with pytest.raises(ValueError):
         mc_sample("gauss", 10, 2, seed=0)
@@ -379,6 +413,42 @@ def test_box_validation():
 
 
 # ---------------------------------------------------------------------------
+# the integer rule
+
+NOT_INTEGERS = {
+    "is_prime(7.5)": lambda: is_prime(7.5),
+    "is_prime(7.0)": lambda: is_prime(7.0),
+    "is_prime(True)": lambda: is_prime(True),
+    "nearest_prime(2.7)": lambda: nearest_prime(2.7),
+    "weil_grid(7.9,2)": lambda: weil_grid(7.9, 2),
+    "weil_grid(7,2.5)": lambda: weil_grid(7, 2.5),
+    "mc_sample(n=2.5)": lambda: mc_sample("uniform", 2.5, 2, 0),
+    "mc_sample(d=2.0)": lambda: mc_sample("uniform", 10, 2.0, 0),
+    "weil_exponential_sum(M=7.0)": lambda: weil_exponential_sum([1], 7.0),
+    "weil_exponential_sum(c=2.5)": lambda: weil_exponential_sum([1, 2.5], 7),
+    "check_gram_bounds(M=97.0)": lambda: check_gram_bounds(97.0, [(1, 1)]),
+    "eval_1d(n=2.0)": lambda: eval_1d("chebyshev", "classical", 2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS)
+def test_integer_arguments_refuse_floats_and_bools(call):
+    with pytest.raises(ValueError, match=r" must be an int, got "):
+        NOT_INTEGERS[call]()
+
+
+def test_integer_arguments_take_numpy_integers():
+    i = np.int64
+    assert is_prime(i(97)) and is_prime(np.uint32(97)) and nearest_prime(np.int16(100)) == 101
+    assert np.array_equal(weil_grid(i(101), np.int32(3)).points, weil_grid(101, 3).points)
+    for measure in ("uniform", "chebyshev"):
+        assert np.array_equal(mc_sample(measure, i(50), i(3), 4).points,
+                              mc_sample(measure, 50, 3, 4).points)
+    assert weil_exponential_sum([i(3), i(5)], i(101)) == weil_exponential_sum([3, 5], 101)
+    assert check_gram_bounds(i(97), [(1, 1)]) == check_gram_bounds(97, [(1, 1)])
+
+
+# ---------------------------------------------------------------------------
 # point_array
 
 def test_point_array_forms():
@@ -391,3 +461,38 @@ def test_point_array_forms():
     assert point_array(np.zeros(5)).shape == (5, 1)  # 1-d promotes to d=1
     with pytest.raises(ValueError):
         point_array(np.zeros((2, 2, 2)))
+
+
+_IDX = build_index_set("TD", 2, 2)
+# every public function that takes points, called on the points p (d = 2)
+POINT_CONSUMERS = {
+    "point_array": lambda p: point_array(p),
+    "basis_matrix": lambda p: basis_matrix(CHEBYSHEV_CLASSICAL, _IDX, p),
+    "evaluate_expansions": lambda p: evaluate_expansions(
+        LEGENDRE_ORTHONORMAL, [_IDX], p, [np.ones(len(_IDX))]),
+    "condition": lambda p: condition(p, _IDX, CHEBYSHEV_CLASSICAL),
+    "solve": lambda p: solve(p, np.ones(len(p)), _IDX, CHEBYSHEV_CLASSICAL),
+    "gram": lambda p: gram(p, _IDX, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS),
+    "compute_weights": lambda p: compute_weights(WeightScheme("density_ratio"), p),
+    "eval_1d": lambda p: eval_1d("legendre", "orthonormal", 2, p.reshape(-1)),
+    "eval_tensor": lambda p: eval_tensor(CHEBYSHEV_CLASSICAL, (1, 2), p),
+    "target": lambda p: targets.make("expsum", (0.5, -0.25))(p),
+    "equidist_box_fraction": lambda p: equidist_box_fraction(p, [(-1, 0), (0, 1)]),
+}
+_GOOD = mc_sample("uniform", 12, 2, 1).points
+BAD_POINTS = {
+    "empty": (np.zeros((0, 2)), "empty point set"),
+    "nan": (np.where(np.arange(24).reshape(12, 2) == 7, np.nan, _GOOD),
+            "evaluation points must lie in [-1,1]; max |y| = nan"),
+    "1.5": (np.where(np.arange(24).reshape(12, 2) == 7, 1.5, _GOOD),
+            "evaluation points must lie in [-1,1]; max |y| = 1.5"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+@pytest.mark.parametrize("consumer", POINT_CONSUMERS)
+def test_every_point_consumer_applies_the_one_point_rule(consumer, bad):
+    pts, message = BAD_POINTS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        POINT_CONSUMERS[consumer](pts)
+    POINT_CONSUMERS[consumer](_GOOD)  # the same call on valid points passes
