@@ -36,7 +36,7 @@ MAX_MODULUS = 3_037_000_499
 def _integer(name: str, value) -> int:
     """value as an int: ValueError unless it is an int or a numpy integer
     (bools excluded), so 7.5 or 7.0 is refused, never truncated."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
     return int(value)
 
