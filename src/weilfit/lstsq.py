@@ -158,12 +158,16 @@ def condition(pts, index_set, basis: BasisSpec,
     The scaled design is built column-major, so that _svd factors it in
     place from dgesdd's crossover on, and the singular values equal those
     of np.linalg.svd(D * sqrt(w)[:, None], compute_uv=False) bit for bit.
+    ValueError before the design is built if 2*8*npts*N bytes exceed
+    physical memory (below the crossover, D and the copy LAPACK factors).
 
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
+    m, N = point_array(pts).shape[0], as_indices(index_set).shape[0]
+    check_memory(f"the condition number of the {m} x {N} design", 2 * 8 * m * N)
     _, Dw = _scaled_design(pts, index_set, basis, weights, order="F")
-    return _condition_report(_svd(Dw, compute_uv=False), Dw.shape[1])
+    return _condition_report(_svd(Dw, compute_uv=False), N)
 
 
 def _svd(Dw, compute_uv=True):
@@ -171,11 +175,11 @@ def _svd(Dw, compute_uv=True):
     for bit as np.linalg.svd(Dw, full_matrices=False, compute_uv=compute_uv)
     gives them, U row-major.
 
-    np.linalg.svd copies Dw into a column-major LAPACK buffer for dgesdd.
-    Below the crossover (see _qr_first) dgesdd bidiagonalizes that copy
-    directly, a QR first would change the last bits, and Dw goes to
-    np.linalg.svd in either layout (solve's is row-major there).  From the
-    crossover on, Dw must be column-major; it is overwritten and, with U,
+    Dw is column-major.  np.linalg.svd copies it into a column-major LAPACK
+    buffer for dgesdd, with the same bits from either layout.  Below the
+    crossover (see _qr_first) dgesdd bidiagonalizes that copy directly, a
+    QR first would change the last bits, and Dw goes to np.linalg.svd
+    untouched.  From the crossover on, Dw is overwritten and, with U,
     ends up holding U.  There dgesdd (path 3) factors Dw = QR, forms Q with
     dorgqr, takes the SVD R = Ur diag(s) Vt of the N x N triangular factor
     and multiplies Q by Ur with one dgemm.  These steps run here on Dw's own
@@ -224,12 +228,12 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     U, s, Vt = np.linalg.svd(Dw, full_matrices=False), coeffs = Vt.T @
     ((U.T @ b) / s) and |b - Dw @ coeffs|.
 
-    From dgesdd's crossover npts >= floor(11 N / 6) on, Dw is built
-    column-major and _svd factors it in place, leaving U in its buffer;
-    after the coefficients, U is freed and Dw rebuilt row-major for the
-    residual.  So the npts x N matrix is held twice at the peak, and
-    the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes (the design and
-    U, the weights, values and scaled values, and three N x N factors),
+    Dw is built column-major and _svd factors it; from dgesdd's crossover
+    npts >= floor(11 N / 6) on, in place, leaving U in its buffer.  After
+    the coefficients, U is freed and Dw rebuilt row-major for the residual.
+    From the crossover on, the npts x N matrix is held twice at the peak,
+    and the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes (the design
+    and U, the weights, values and scaled values, and three N x N factors),
     tracemalloc's peak up to the few 256 KiB block temporaries of the
     design's assembly.  Below the crossover it is 4*8*npts*N bytes: D, the
     copy LAPACK factors, and U twice (LAPACK's column-major U and numpy's
@@ -250,10 +254,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         raise ValueError("function values must be finite")
     if m < N:
         raise ValueError(f"under-determined system: {m} points for {N} basis functions")
-    in_place = _qr_first(m, N)
-    need = 8 * (2 * m * N + 3 * m + 3 * N * N) if in_place else 4 * 8 * m * N
+    need = 8 * (2 * m * N + 3 * m + 3 * N * N) if _qr_first(m, N) else 4 * 8 * m * N
     check_memory(f"the {m} x {N} least-squares solve", need)
-    sw, Dw = _scaled_design(arr, index_set, basis, weights, "F" if in_place else "C")
+    sw, Dw = _scaled_design(arr, index_set, basis, weights, "F")
     U, s, Vt = _svd(Dw)
     report = _condition_report(s, N)
     if not np.isfinite(report.cond_D) or s[-1] <= RANK_TOL * s[0]:
@@ -264,9 +267,8 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         bw = f * sw
         coeffs = Vt.T @ ((U.T @ bw) / s)
-        if in_place:  # Dw holds U; the residual's bits need Dw row-major
-            del U, Dw
-            _, Dw = _scaled_design(arr, index_set, basis, weights)
+        del U, Dw  # Dw may hold U; the residual's bits need Dw row-major
+        _, Dw = _scaled_design(arr, index_set, basis, weights)
         residual = float(np.linalg.norm(bw - Dw @ coeffs))
     if not (np.isfinite(coeffs).all() and math.isfinite(residual)):
         raise ValueError("the function values overflow the least-squares solve")

@@ -26,8 +26,7 @@ from .diagnostics import l2_error
 from .indexsets import KINDS, build_index_set
 from .lstsq import (TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, SingularSystemError,
                     WeightScheme, condition, solve)
-from .pointgen import (MAX_MODULUS, check_memory, is_prime, mc_sample,
-                       nearest_prime, weil_grid)
+from .pointgen import MAX_MODULUS, is_prime, mc_sample, nearest_prime, weil_grid
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
@@ -195,9 +194,8 @@ def run(cfg: StudyConfig, values):
     item.  Returns (rows, reps): one (q, N, m, M, mean over repetitions) row
     per order and one (q, rep, value) per repetition, in (q, rep) order; a
     cell with m < N reads inf.  A cell past the modulus limit raises
-    ValueError before any cell is evaluated, and before the first
-    repetition of a cell, ValueError names the cell if two of its m x N
-    designs exceed physical memory (lstsq says what condition and solve hold).
+    ValueError before any cell is evaluated; a cell too large for physical
+    memory is refused by the memory check of lstsq's condition or solve.
     """
     cells = [(q,) + realize_cell(cfg, q) for q in range(cfg.q_min, cfg.q_max + 1)]
 
@@ -205,7 +203,6 @@ def run(cfg: StudyConfig, values):
         for q, index_set, N, m, M in cells:
             if m < N:
                 continue
-            check_memory(f"the {m} x {N} design of cell q={q}", 2 * 8 * m * N)
             for rep in range(cfg.repetitions):
                 yield cell_points(cfg, q, m, M, rep), index_set
 

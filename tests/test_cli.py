@@ -453,9 +453,9 @@ def test_grid_larger_than_physical_memory_exits_2_without_output(tmp_path, capsy
     # 21**10 = 1.7e13 multi-indices
     (["--space", "TP", "--d", "10", "--q-min", "20", "--q-max", "20"],
      "the index set TP(q=20, d=10) needs "),
-    # D is 828184 x 1287 doubles; the cell asks room for two (D plus headroom)
+    # D is 828184 x 1287 doubles (7.9 GiB); condition asks room for two
     (["--space", "TD", "--d", "5", "--q-min", "8", "--q-max", "8", "--scaling", "quadratic",
-      "--c", "0.5"], "the 828184 x 1287 design of cell q=8 needs 15.9 GiB, "),
+      "--c", "0.5"], "the condition number of the 828184 x 1287 design needs 15.9 GiB, "),
 ], ids=["index-set", "design"])
 def test_study_larger_than_physical_memory_exits_2_without_output(tmp_path, capsys,
                                                                   monkeypatch, argv, what):
@@ -471,9 +471,9 @@ def test_study_larger_than_physical_memory_exits_2_without_output(tmp_path, caps
 
 def test_conv_study_cell_whose_solve_exceeds_physical_memory_exits_2(tmp_path, capsys,
                                                                      monkeypatch):
-    # memory for three designs of the largest cell (30 x 15): the cell's own
-    # check (two) passes, the solve's (two, plus 3 vectors of m and 3 N x N
-    # matrices: 13320 bytes against 10800) refuses
+    # memory for three designs of the largest cell (30 x 15): the solve's
+    # check (two, plus 3 vectors of m and 3 N x N matrices: 13320 bytes
+    # against 10800) refuses before the design is built
     argv = ["conv-study", "--d", "2", "--q-max", "4", "--scaling", "linear", "--c", "2",
             "--n-test", "100"]
     _, N, m, _ = realize_cell(StudyConfig(d=2, q_max=4, scaling="linear", c=2.0), 4)
