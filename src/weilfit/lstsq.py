@@ -243,7 +243,7 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     not finite, if the values overflow the solve (a coefficient or the
     residual is not finite), or, before D is built, if that check exceeds
     physical memory.  Raises SingularSystemError if the scaled design matrix
-    has relative singular values below 1e-12.
+    has relative singular values below 1e-12 or its SVD does not converge.
     """
     arr = point_array(pts)
     m, N = arr.shape[0], as_indices(index_set).shape[0]
@@ -257,7 +257,13 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     need = 8 * (2 * m * N + 3 * m + 3 * N * N) if _qr_first(m, N) else 4 * 8 * m * N
     check_memory(f"the {m} x {N} least-squares solve", need)
     sw, Dw = _scaled_design(arr, index_set, basis, weights, "F")
-    U, s, Vt = _svd(Dw)
+    try:
+        U, s, Vt = _svd(Dw)
+    except np.linalg.LinAlgError as err:
+        if "did not converge" not in str(err):  # _lapack's: an illegal argument
+            raise
+        raise SingularSystemError(f"rank-deficient least-squares system ({err})",
+                                  ConditionReport(math.inf, math.inf)) from err
     report = _condition_report(s, N)
     if not np.isfinite(report.cond_D) or s[-1] <= RANK_TOL * s[0]:
         raise SingularSystemError(
@@ -269,7 +275,11 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
         coeffs = Vt.T @ ((U.T @ bw) / s)
         del U, Dw  # Dw may hold U; the residual's bits need Dw row-major
         _, Dw = _scaled_design(arr, index_set, basis, weights)
-        residual = float(np.linalg.norm(bw - Dw @ coeffs))
+        r = bw - Dw @ coeffs
+        residual = float(np.linalg.norm(r))
+        if residual == math.inf and np.isfinite(r).all():  # |r|^2 past float range
+            a = np.abs(r).max()
+            residual = float(a * np.linalg.norm(r / a))
     if not (np.isfinite(coeffs).all() and math.isfinite(residual)):
         raise ValueError("the function values overflow the least-squares solve")
     return FitResult(coeffs, index_set, basis, residual, report)

@@ -2,9 +2,6 @@ import argparse
 import contextlib
 import io
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blas_thread import run_python
 from weilfit.cli import build_parser, main, parse_boxes
 from weilfit.diagnostics import check_gram_bounds, l2_error
 from weilfit.indexsets import KINDS, build_index_set
@@ -640,12 +638,8 @@ def test_underdetermined_cells_record_inf_in_both_studies(tmp_path):
 
 
 def test_module_entry_point_runs_without_runtime_warning():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "weilfit.cli", "--help"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "weilfit.cli", "--help",
+                      pinned=False)
     assert "cond-study" in proc.stdout
 
 

@@ -4,32 +4,24 @@ the stdout of each demo and of the quickstart is byte-identical to
 tests/reference/demos/<name>.stdout (05_weighted_legendre.py prints other
 last digits at two threads, so the comparison pins the thread count)."""
 
-import os
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blas_thread import run_python
 from weilfit.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 REFERENCE = ROOT / "tests" / "reference" / "demos"
-ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-              "MKL_NUM_THREADS": "1"}
 
 
-def _run(args, cwd, **env):
+def _run(args, cwd, pinned=False):
     """stdout of python with args, after checking exit 0 and no stderr."""
-    env = dict(os.environ, **env, PYTHONPATH=str(ROOT / "src") + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = run_python(*args, cwd=cwd, pinned=pinned)
     assert proc.stderr == ""
     assert proc.stdout
     return proc.stdout
@@ -52,7 +44,7 @@ def test_demo_runs_cleanly(demo, tmp_path):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_stdout_is_byte_identical_to_the_reference(demo, tmp_path):
-    out = _run([str(demo)], tmp_path, **ONE_THREAD)
+    out = _run([str(demo)], tmp_path, pinned=True)
     assert out == (REFERENCE / f"{demo.stem}.stdout").read_text()
 
 
@@ -62,7 +54,7 @@ def test_readme_quickstart_runs_cleanly(tmp_path):
 
 
 def test_readme_quickstart_stdout_is_byte_identical_to_the_reference(tmp_path):
-    out = _run(["-c", _quickstart()], tmp_path, **ONE_THREAD)
+    out = _run(["-c", _quickstart()], tmp_path, pinned=True)
     assert out == (REFERENCE / "readme-quickstart.stdout").read_text()
 
 

@@ -1,15 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blas_thread import run_python
 from weilfit.indexsets import KINDS, build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
                            WeightScheme, compute_weights, condition,
@@ -147,12 +144,13 @@ def test_solve_refuses_values_that_overflow(q, weights):
     message = r"^the function values overflow the least-squares solve$"
     with pytest.raises(ValueError, match=message):
         solve(grid, np.full(51, 1.7e308), idx, CHEBYSHEV_CLASSICAL, weights)
-    # finite coefficients, but a residual whose square is past float range
+    # finite coefficients and a residual whose square is past float range:
+    # the norm rescales and the fit is the scaled fit's, scaled
     wild = 1e160 * (-1.0) ** np.arange(51)
-    with pytest.raises(ValueError, match=message):
-        solve(grid, wild, idx, CHEBYSHEV_CLASSICAL, weights)
-    fit = solve(grid, wild / 1e20, idx, CHEBYSHEV_CLASSICAL, weights)
-    assert np.isfinite(fit.coefficients).all() and math.isfinite(fit.residual_norm)
+    fit = solve(grid, wild, idx, CHEBYSHEV_CLASSICAL, weights)
+    scaled = solve(grid, wild / 1e20, idx, CHEBYSHEV_CLASSICAL, weights)
+    assert np.isfinite(fit.coefficients).all()
+    assert math.isclose(fit.residual_norm, 1e20 * scaled.residual_norm, rel_tol=1e-12)
 
 def test_condition_matches_solve_and_is_inf_when_underdetermined():
     idx = build_index_set("TD", 4, 2)
@@ -194,15 +192,7 @@ def condition_equals_the_full_svd(spec, weights, kind, d, data, seed):
 
 
 def _run_at_one_blas_thread(script):
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests"),
-                                           os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return run_python("-c", script, path=("src", "tests")).stdout
 
 
 def test_condition_equals_the_full_svd_at_one_blas_thread():
@@ -217,7 +207,10 @@ def _solve_by_the_full_svd(pts, f, idx, spec, weights):
     Dw = basis_matrix(spec, idx, pts)
     Dw *= sw[:, None]
     bw = f * sw
-    U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(Dw, full_matrices=False)
+    except np.linalg.LinAlgError:  # did not converge: singular, as in solve
+        return None, None, ConditionReport(math.inf, math.inf)
     cond_D = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
     report = ConditionReport(cond_D, cond_D * cond_D)
     if not math.isfinite(cond_D) or s[-1] <= 1e-12 * s[0]:
@@ -267,6 +260,45 @@ def solve_equals_the_full_svd(spec, weights, kind, d, points, data, seed):
 
 def test_solve_equals_the_full_svd_at_one_blas_thread():
     _run_at_one_blas_thread("import test_lstsq\ntest_lstsq.solve_equals_the_full_svd()\n")
+
+
+def _svd_does_not_converge():
+    """(pts, f, idx) whose design's SVD does not converge at one BLAS thread:
+    TD q = 10, d = 3 (N = 286) at the crossover m = 524, rows drawn from 285
+    distinct points as in the "repeated" case above, seed 9306."""
+    idx = build_index_set("TD", 10, 3)
+    rng = np.random.default_rng(9306)
+    pts = rng.uniform(-1.0, 1.0, (285, 3))[rng.integers(0, 285, 524)]
+    return pts, np.cos(pts @ rng.standard_normal(3)) + 0.5, idx
+
+
+def solve_where_the_svd_does_not_converge():
+    pts, f, idx = _svd_does_not_converge()
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        np.linalg.svd(basis_matrix(CHEBYSHEV_ORTHONORMAL, idx, pts), full_matrices=False)
+    with pytest.raises(SingularSystemError) as err:
+        solve(pts, f, idx, CHEBYSHEV_ORTHONORMAL)
+    assert err.value.condition_report == ConditionReport(math.inf, math.inf)
+
+
+def test_solve_where_the_svd_does_not_converge_is_singular():
+    # numpy's LinAlgError left solve, a ValueError where the system is singular
+    _run_at_one_blas_thread(
+        "import test_lstsq\ntest_lstsq.solve_where_the_svd_does_not_converge()\n")
+
+
+def test_fit_where_the_svd_does_not_converge_exits_3_without_output(tmp_path):
+    # fit printed `error: SVD did not converge` and exited 2, as for bad input
+    pts, f, _ = _svd_does_not_converge()
+    points, values, out = tmp_path / "pts.csv", tmp_path / "vals.csv", tmp_path / "fit.csv"
+    np.savetxt(points, np.column_stack([np.arange(len(pts)), pts]), fmt="%.17g",
+               delimiter=",", header="j,y1,y2,y3", comments="")
+    np.savetxt(values, f, fmt="%.17g")
+    proc = run_python("-m", "weilfit.cli", "fit", "--points", str(points), "--values",
+                      str(values), "--q", "10", "--out", str(out), returncode=3)
+    assert proc.stderr == ("error: rank-deficient least-squares system "
+                           "(SVD did not converge)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("factor", [
@@ -326,6 +358,26 @@ def test_solve_checks_the_memory_of_four_designs(monkeypatch):
         solve(pts, np.ones(17), idx, CHEBYSHEV_ORTHONORMAL)
     monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 4 * design)
     solve(pts, np.ones(17), idx, CHEBYSHEV_ORTHONORMAL)
+
+
+@pytest.mark.parametrize("m", [17, 200])  # TD q=3, d=2: N = 10, crossover at m = 18
+def test_condition_checks_two_designs_before_building_one(m, monkeypatch):
+    # below the crossover D and the copy LAPACK factors; basis_matrix checks
+    # only D
+    idx = build_index_set("TD", 3, 2)
+    pts = np.random.default_rng(m).uniform(-1.0, 1.0, (m, 2))
+    need = 2 * 8 * m * len(idx)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need)
+    condition(pts, idx, CHEBYSHEV_ORTHONORMAL)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+
+    def no_design(*args):
+        raise AssertionError("the design was built")
+
+    monkeypatch.setattr("weilfit.lstsq.basis_matrix", no_design)
+    with pytest.raises(ValueError, match=rf"^the condition number of the {m} x 10 design "
+                                         "needs .* physical memory$"):
+        condition(pts, idx, CHEBYSHEV_ORTHONORMAL)
 
 
 def _solve_check(m, N):

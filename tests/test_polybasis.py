@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
+from blas_thread import run_python
 from weilfit.indexsets import build_index_set
 from weilfit.lstsq import ConditionReport, FitResult, evaluate_fit, solve
 from weilfit.pointgen import weil_grid
@@ -246,13 +243,7 @@ def test_streamed_evaluation_matches_full_product_at_one_blas_thread():
         "(values,) = evaluate_expansions(S, [idx], pts, [c])\n"
         "assert np.array_equal(values, basis_matrix(S, idx, pts) @ c)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python("-c", script)
 
 
 def test_streamed_evaluation_never_holds_the_design_matrix():
@@ -321,13 +312,7 @@ def test_shared_pass_matches_full_products_at_one_blas_thread():
         "for values, s, c in zip(got, sets, cs):\n"
         "    assert np.array_equal(values, basis_matrix(S, s, pts) @ c)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python("-c", script)
 
 
 def test_shared_pass_holds_at_most_one_vector_per_table_row():

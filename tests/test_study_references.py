@@ -19,28 +19,20 @@ tests/reference/<command>/<name>.csv and .stdout.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from blas_thread import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "bench" / "spec.json").read_text())
 
 
 def _run_cli(argv):
-    """weilfit.cli with argv in a subprocess at one BLAS thread; exit 0."""
-    src = str(ROOT / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "weilfit.cli"] + argv, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    """stdout of weilfit.cli with argv in a subprocess at one BLAS thread; exit 0."""
+    return run_python("-m", "weilfit.cli", *argv).stdout
 
 
 def _check_against_the_reference(workload, tmp_path):
