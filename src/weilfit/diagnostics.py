@@ -146,10 +146,9 @@ def check_bounds(dims, orders, seed: int = 0):
     each d in dims and q in orders, at each modulus M > 2q+1 of the first
     prime above 2q+1, 97 and 997.  gaps: (d, M, gap, gap <= 1/2) for two
     fixed spectral_gap cases.  sums: |S| <= (degree-1) sqrt(M) for the Weil
-    sums S of 48 random polynomials drawn with `seed`.  ValueError if
-    seed < 0, before the (possibly lazy) dims and orders are read."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    sums S of 48 random polynomials drawn with `seed`.  ValueError unless
+    seed is an int >= 0, before the (possibly lazy) dims and orders are read."""
+    seed = _integer("seed", seed, 0)
     dims, orders = list(dims), list(orders)
     grams = []
     for d in dims:
@@ -196,15 +195,16 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
     basis family's natural density (arcsine for Chebyshev, uniform for
     Legendre).
 
-    `level` is the number of 1-d quadrature nodes per coordinate and must be
-    at least q+1 (q = largest index component) so products of two basis
-    polynomials are integrated exactly.  When the 2*8*d*level^d bytes of the
-    nodes (the grids and their columns) exceed the machine's physical
-    memory, ValueError is raised before they are built.
+    `level`, the number of 1-d quadrature nodes per coordinate, is an int
+    of at least q+1 (q = largest index component; else ValueError), so
+    products of two basis polynomials are integrated exactly.  ValueError
+    before the nodes are built when their 2*8*d*level^d bytes (the grids
+    and their columns) exceed the machine's physical memory.
     """
     idx = as_indices(index_set)
     d = idx.shape[1]
     q = int(idx.max())
+    level = _integer("level", level)
     if level < q + 1:
         raise ValueError(
             f"quadrature level {level} too small for order {q}; need >= {q + 1}"
@@ -251,8 +251,9 @@ def l2_error(fit, target, n_test: int = 2000, seed: int = 0) -> ErrorReport:
     d*(q+1) value vectors of n_test floats, plus a few block temporaries of
     about 32768 floats each, never an n_test*N test design matrix.  When
     that exceeds the machine's physical memory, ValueError is raised before
-    the sample is drawn.
+    the sample is drawn; also unless n_test >= 1 and seed >= 0 are ints.
     """
+    n_test, seed = _integer("n_test", n_test, 1), _integer("seed", seed, 0)
     if isinstance(fit, FitResult):
         return ErrorReport(_errors([fit], target, n_test, seed)[0], n_test)
     fits = list(fit)

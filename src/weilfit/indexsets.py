@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointgen import check_memory
+from .pointgen import _choice, _integer, check_memory
 
 KINDS = ("TP", "TD")
 
@@ -45,9 +45,13 @@ class IndexSet:
 
 
 def tp_cardinality(q: int, d: int) -> int:
+    """(q+1)^d; ValueError unless q >= 0 and d >= 1 are ints (_integer)."""
+    q, d = _integer("q", q, 0), _integer("d", d, 1)
     return (q + 1) ** d
 
 def td_cardinality(q: int, d: int) -> int:
+    """binom(q+d, d); ValueError unless q >= 0 and d >= 1 are ints (_integer)."""
+    q, d = _integer("q", q, 0), _integer("d", d, 1)
     return math.comb(q + d, d)
 
 
@@ -58,16 +62,13 @@ def build_index_set(kind: str, q: int, d: int) -> IndexSet:
     The rows grow one coordinate at a time: each row is repeated once per
     admissible value of the next coordinate, in increasing order, which keeps
     the rows lexicographically sorted; one stable sort by row sum then gives
-    the canonical order.  Rejects d < 1, q < 0 and unknown kinds, and refuses
-    a set whose build (about 3*8*N*d bytes) exceeds physical memory before
-    anything is allocated.
+    the canonical order.  ValueError unless d >= 1 and q >= 0 are ints
+    (_integer's rule: 2.0 and True are refused) and kind is one of KINDS;
+    refuses a set whose build (about 3*8*N*d bytes) exceeds physical memory
+    before anything is allocated.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    if kind not in KINDS:
-        raise ValueError(f"unknown index set kind {kind!r}; expected one of {KINDS}")
+    d, q = _integer("d", d, 1), _integer("q", q, 0)
+    _choice("index set kind", kind, KINDS)
     N = tp_cardinality(q, d) if kind == "TP" else td_cardinality(q, d)
     check_memory(f"the index set {kind}(q={q}, d={d})", 3 * 8 * N * d)
     rows = np.arange(q + 1, dtype=np.int64)[:, None]

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .indexsets import as_indices
-from .pointgen import check_memory, point_array
+from .pointgen import _choice, check_memory, point_array
 from .polybasis import BasisSpec, basis_matrix, evaluate_expansions
 
 WEIGHT_KINDS = ("unit", "density_ratio")
@@ -47,19 +47,14 @@ class WeightScheme:
     target_density: str | None = None
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}; expected one of {WEIGHT_KINDS}")
+        _choice("weight kind", self.kind, WEIGHT_KINDS)
         if self.kind == "unit":
             if self.target_density is not None:
                 raise ValueError("target_density is only meaningful for kind='density_ratio'")
         else:
             if self.target_density is None:
                 object.__setattr__(self, "target_density", "uniform")
-            if self.target_density not in TARGET_DENSITIES:
-                raise ValueError(
-                    f"unknown target density {self.target_density!r}; "
-                    f"expected one of {TARGET_DENSITIES}"
-                )
+            _choice("target density", self.target_density, TARGET_DENSITIES)
 
 
 UNIT_WEIGHTS = WeightScheme("unit")
@@ -305,10 +300,10 @@ def gram(pts, index_set, basis: BasisSpec,
     """Weighted Gram matrix A[n,k] = sum_i w_i Phi_n(y_i) Phi_k(y_i).
 
     B^T B with B = diag(sqrt(w)) D the scaled design: numpy's syrk mirrors
-    one triangle, so A is exactly symmetric.  ValueError before the product
+    one triangle, so A is exactly symmetric.  ValueError before B is built
     if 8*(m*N + 2*N*N) bytes exceed physical memory: B and A (tracemalloc's
     peak), and the copy of A that LAPACK takes in spectral_gap."""
-    _, Dw = _scaled_design(pts, index_set, basis, weights)
-    m, N = Dw.shape
+    m, N = point_array(pts).shape[0], as_indices(index_set).shape[0]
     check_memory(f"the {N} x {N} Gram matrix", 8 * (m * N + 2 * N * N))
+    _, Dw = _scaled_design(pts, index_set, basis, weights)
     return Dw.T @ Dw

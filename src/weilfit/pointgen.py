@@ -33,12 +33,22 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_MODULUS = 3_037_000_499
 
 
-def _integer(name: str, value) -> int:
-    """value as an int: ValueError unless it is an int or a numpy integer
-    (bools excluded), so 7.5 or 7.0 is refused, never truncated."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int: the one integer rule.  ValueError unless it is an
+    int or a numpy integer (bools excluded), so 7.5 or 7.0 is refused, never
+    truncated, and unless it is at least `minimum` when one is given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _choice(name: str, value, allowed) -> None:
+    """The one choice rule: ValueError unless value is one of `allowed`."""
+    if value not in allowed:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {allowed}")
 
 
 def is_prime(n: int) -> bool:
@@ -141,7 +151,7 @@ def weil_grid(M: int, d: int) -> SampleSet:
     ----------
     M : prime modulus, at most 3 037 000 499
     d : dimension, >= 1
-    (both ints, validated; else ValueError)
+    (both ints by _integer's rule; else ValueError)
 
     Returns
     -------
@@ -153,9 +163,7 @@ def weil_grid(M: int, d: int) -> SampleSet:
     bytes, tracemalloc's peak; a grid for which that exceeds the machine's
     physical memory is refused with ValueError before anything is allocated.
     """
-    M, d = _integer("M", M), _integer("d", d)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    M, d = _integer("M", M), _integer("d", d, 1)
     _check_modulus(M)
     m = M // 2
     check_memory(f"the grid for M={M}, d={d}", 8 * (d + 2) * (m + 1))
@@ -176,19 +184,16 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
     U uniform on [0,1).  measure = "uniform": uniform on [-1,1]^d.
 
     The generator is numpy's PCG64 seeded with `seed`; identical
-    (measure, n, d, seed) inputs reproduce bit-identical points.  n and d
-    are ints (else ValueError).  The cosine is taken in place, so the
+    (measure, n, d, seed) inputs reproduce bit-identical points.  n, d and
+    seed follow _integer's rule, n and d >= 1 and seed >= 0, and measure is
+    one of the two (else ValueError).  The cosine is taken in place, so the
     8*n*d bytes of the points are tracemalloc's peak; a sample for which
     they exceed the machine's physical memory is refused with ValueError
     before anything is drawn.
     """
-    n, d = _integer("n", n), _integer("d", d)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if measure not in ("chebyshev", "uniform"):
-        raise ValueError(f"unknown measure {measure!r}; expected 'chebyshev' or 'uniform'")
+    n, d = _integer("n", n, 1), _integer("d", d, 1)
+    _choice("measure", measure, ("chebyshev", "uniform"))
+    seed = _integer("seed", seed, 0)
     check_memory(f"the {n} x {d} {measure} sample", 8 * n * d)
     rng = np.random.Generator(np.random.PCG64(seed))
     if measure == "uniform":

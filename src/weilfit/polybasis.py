@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import as_indices
-from .pointgen import _integer, check_memory, point_array
+from .pointgen import _choice, _integer, check_memory, point_array
 
 FAMILIES = ("chebyshev", "legendre")
 NORMALIZATIONS = ("classical", "orthonormal")
@@ -43,13 +43,8 @@ class BasisSpec:
     normalization: str
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(
-                f"unknown normalization {self.normalization!r}; "
-                f"expected one of {NORMALIZATIONS}"
-            )
+        _choice("family", self.family, FAMILIES)
+        _choice("normalization", self.normalization, NORMALIZATIONS)
         if self.family == "legendre" and self.normalization == "classical":
             raise ValueError(
                 "legendre supports only the 'orthonormal' normalization"
@@ -99,9 +94,7 @@ def eval_1d(family: str, normalization: str, n: int, y):
     pointwise reference, meant for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
-    n = _integer("order n", n)
-    if n < 0:
-        raise ValueError(f"order n must be >= 0, got {n}")
+    n = _integer("order n", n, 0)
     arr = np.asarray(y, dtype=float)
     vals = _tables(spec, point_array(arr.reshape(-1))[:, 0], n)[n]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)

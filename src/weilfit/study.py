@@ -15,6 +15,7 @@ evaluated.  `StudyConfig` is the one table of study settings.
 from __future__ import annotations
 
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field, fields
 from itertools import starmap
@@ -26,7 +27,8 @@ from .diagnostics import l2_error
 from .indexsets import KINDS, build_index_set
 from .lstsq import (TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, SingularSystemError,
                     WeightScheme, condition, solve)
-from .pointgen import MAX_MODULUS, is_prime, mc_sample, nearest_prime, weil_grid
+from .pointgen import (MAX_MODULUS, _choice, _integer, is_prime, mc_sample,
+                       nearest_prime, weil_grid)
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
 GRIDS = ("weil", "mc_chebyshev", "mc_uniform")
@@ -43,7 +45,8 @@ class StudyConfig:
     """Every study setting.  Each field is a config key (`load_config`) and a
     flag (`--q-min` for q_min, help text from its `help` metadata), parsed as
     the field's type; every field is checked, also those a study kind does
-    not read, choices against CHOICES."""
+    not read: choices against CHOICES by _choice, int fields by _integer
+    and c as a positive finite real number."""
 
     space: str = "TD"
     d: int = 2
@@ -68,22 +71,21 @@ class StudyConfig:
 
     def __post_init__(self):
         for name, allowed in CHOICES.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}; "
-                                 f"expected one of {allowed}")
+            _choice(name.replace("_", " "), getattr(self, name), allowed)
+        # q_min, q_max and coeff_seed keep their own range messages, below
+        minimum = {"d": 1, "repetitions": 1, "seed": 0, "n_test": 1}
+        for f in fields(self):
+            if f.type == "int":
+                setattr(self, f.name, _integer(f.name, getattr(self, f.name),
+                                               minimum.get(f.name)))
         if self.q_min < 0 or self.q_max < self.q_min:
             raise ValueError(f"bad q range [{self.q_min}, {self.q_max}]")
+        if isinstance(self.c, bool) or not isinstance(self.c, numbers.Real):
+            raise ValueError(f"scaling constant c must be a real number, got {self.c!r}")
         if not 0 < self.c < math.inf:  # also rejects NaN
             raise ValueError(f"scaling constant c must be positive and finite, got {self.c}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.coeff_seed < -1:
             raise ValueError(f"coeff_seed must be >= 0 (or -1, unset), got {self.coeff_seed}")
-        if self.n_test < 1:
-            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         self.basis_spec()  # legendre has no classical normalization
         if self.coeffs:
             try:

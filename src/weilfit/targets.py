@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pointgen import point_array
+from .pointgen import _choice, _integer, point_array
 
 TARGET_NAMES = ("expsum", "cossum", "abscube")
 
@@ -47,12 +47,13 @@ def coefficients(target: str, d: int, seed: int | None = None) -> tuple:
     """Coefficient vector for a target in dimension d.
 
     With seed=None the frozen published set is returned; otherwise a fresh
-    uniform(-1,1) draw from PCG64(seed).
+    uniform(-1,1) draw from PCG64(seed).  ValueError unless target is one of
+    TARGET_NAMES and d >= 1 and any seed >= 0 are ints (_integer's rule).
     """
-    if target not in TARGET_NAMES:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGET_NAMES}")
+    _choice("target", target, TARGET_NAMES)
+    d = _integer("d", d, 1)
     if seed is not None:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.Generator(np.random.PCG64(_integer("seed", seed, 0)))
         return tuple(float(v) for v in rng.uniform(-1.0, 1.0, d))
     try:
         return FIXED_COEFFS[(target, d)]
@@ -65,9 +66,9 @@ def coefficients(target: str, d: int, seed: int | None = None) -> tuple:
 
 def make(target: str, coeffs) -> "callable":
     """Build the target as a vectorized callable on (npts, d) point arrays,
-    d = len(coeffs), which it validates by point_array's rule."""
-    if target not in TARGET_NAMES:
-        raise ValueError(f"unknown target {target!r}; expected one of {TARGET_NAMES}")
+    d = len(coeffs), which it validates by point_array's rule.  ValueError
+    unless target is one of TARGET_NAMES."""
+    _choice("target", target, TARGET_NAMES)
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d vector")

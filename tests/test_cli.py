@@ -53,6 +53,9 @@ def test_study_config_validation():
         StudyConfig(c=math.inf)
     with pytest.raises(ValueError):
         StudyConfig(c=math.nan)
+    for c in ("0.5", True):  # a real number, not a string or a bool
+        with pytest.raises(ValueError, match=r"^scaling constant c must be a real number"):
+            StudyConfig(c=c)
     with pytest.raises(ValueError):
         StudyConfig(grid="qmc")
     with pytest.raises(ValueError):

@@ -559,6 +559,21 @@ def test_gram_checks_the_memory_of_its_design_and_two_gram_matrices(monkeypatch)
     gram(g, idx, CHEBYSHEV_ORTHONORMAL)
 
 
+def test_gram_checks_its_memory_before_it_builds_the_design(monkeypatch):
+    # one byte short of 8*(m*N + 2*N*N) is refused before basis_matrix runs
+    idx = build_index_set("TD", 30, 2)
+    g = weil_grid(211, 2)
+    need = 8 * (len(g.points) * len(idx) + 2 * len(idx) ** 2)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+
+    def no_design(*args):
+        raise AssertionError("the design was built")
+
+    monkeypatch.setattr("weilfit.lstsq.basis_matrix", no_design)
+    with pytest.raises(ValueError, match=r"^the 496 x 496 Gram matrix needs "):
+        gram(g, idx, CHEBYSHEV_ORTHONORMAL)
+
+
 def test_gram_near_scaled_identity_on_fine_weil_grid():
     # With the orthonormal basis each diagonal entry is close to m = M//2 + 1,
     # so (2/M) * A approaches the identity as M grows.

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -13,10 +14,13 @@ from weilfit.pointgen import (MAX_MODULUS, _polynomial_residues, _powers,
                               equidist_box_fraction, is_prime, mc_sample,
                               nearest_prime, point_array, weil_exponential_sum,
                               weil_grid)
-from weilfit import (CHEBYSHEV_CLASSICAL, LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS,
-                     WeightScheme, basis_matrix, build_index_set,
-                     check_gram_bounds, compute_weights, condition, eval_1d,
-                     eval_tensor, evaluate_expansions, gram, solve, targets)
+from weilfit import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
+                     LEGENDRE_ORTHONORMAL, UNIT_WEIGHTS, BasisSpec,
+                     StudyConfig, WeightScheme, basis_matrix, build_index_set,
+                     check_bounds, check_gram_bounds, compute_weights,
+                     condition, eval_1d, eval_tensor, evaluate_expansions,
+                     gram, l2_error, reference_projection, solve, targets,
+                     td_cardinality, tp_cardinality)
 
 
 def trial_division_prime(n):
@@ -428,6 +432,30 @@ NOT_INTEGERS = {
     "weil_exponential_sum(c=2.5)": lambda: weil_exponential_sum([1, 2.5], 7),
     "check_gram_bounds(M=97.0)": lambda: check_gram_bounds(97.0, [(1, 1)]),
     "eval_1d(n=2.0)": lambda: eval_1d("chebyshev", "classical", 2.0, 0.5),
+    "build_index_set(q=2.5)": lambda: build_index_set("TD", 2.5, 2),
+    "build_index_set(q=True)": lambda: build_index_set("TD", True, 2),
+    "build_index_set(d=2.0)": lambda: build_index_set("TP", 2, 2.0),
+    "build_index_set(d=True)": lambda: build_index_set("TP", 2, True),
+    "tp_cardinality(q=2.5)": lambda: tp_cardinality(2.5, 2),
+    "tp_cardinality(d=True)": lambda: tp_cardinality(2, True),
+    "td_cardinality(q=2.0)": lambda: td_cardinality(2.0, 2),
+    "td_cardinality(q=True)": lambda: td_cardinality(True, 2),
+    **{f"StudyConfig({name}={value!r})": functools.partial(StudyConfig, **{name: value})
+       for name in ("d", "q_min", "q_max", "repetitions", "seed", "coeff_seed", "n_test")
+       for value in (2.0, True)},
+    "reference_projection(level=3.5)":
+        lambda: reference_projection(np.cos, [(1,)], CHEBYSHEV_ORTHONORMAL, 3.5),
+    "reference_projection(level=True)":
+        lambda: reference_projection(np.cos, [(0,)], CHEBYSHEV_ORTHONORMAL, True),
+    "mc_sample(seed=1.5)": lambda: mc_sample("uniform", 10, 2, 1.5),
+    "mc_sample(seed=True)": lambda: mc_sample("uniform", 10, 2, True),
+    "check_bounds(seed=1.5)": lambda: check_bounds([1], [1], seed=1.5),
+    "check_bounds(seed=True)": lambda: check_bounds([1], [1], seed=True),
+    "targets.coefficients(d=2.0)": lambda: targets.coefficients("expsum", 2.0),
+    "targets.coefficients(d=True)": lambda: targets.coefficients("expsum", True),
+    "targets.coefficients(seed=True)": lambda: targets.coefficients("expsum", 2, True),
+    "l2_error(n_test=2.5)": lambda: l2_error([None], np.cos, n_test=2.5),
+    "l2_error(n_test=True)": lambda: l2_error([None], np.cos, n_test=True),
 }
 
 
@@ -435,6 +463,69 @@ NOT_INTEGERS = {
 def test_integer_arguments_refuse_floats_and_bools(call):
     with pytest.raises(ValueError, match=r" must be an int, got "):
         NOT_INTEGERS[call]()
+
+
+# (call, the name and minimum its message states, the value it got)
+BELOW_MINIMUM = {
+    "weil_grid(d=0)": (lambda: weil_grid(7, 0), "d", 1, 0),
+    "mc_sample(n=0)": (lambda: mc_sample("uniform", 0, 2, 0), "n", 1, 0),
+    "mc_sample(d=0)": (lambda: mc_sample("uniform", 10, 0, 0), "d", 1, 0),
+    "mc_sample(seed=-1)": (lambda: mc_sample("uniform", 10, 2, -1), "seed", 0, -1),
+    "build_index_set(d=0)": (lambda: build_index_set("TD", 2, 0), "d", 1, 0),
+    "build_index_set(q=-1)": (lambda: build_index_set("TD", -1, 2), "q", 0, -1),
+    "tp_cardinality(q=-1)": (lambda: tp_cardinality(-1, 2), "q", 0, -1),
+    "td_cardinality(d=0)": (lambda: td_cardinality(2, 0), "d", 1, 0),
+    "eval_1d(n=-1)": (lambda: eval_1d("chebyshev", "classical", -1, 0.5), "order n", 0, -1),
+    "check_bounds(seed=-3)": (lambda: check_bounds([1], [1], seed=-3), "seed", 0, -3),
+    "StudyConfig(d=0)": (lambda: StudyConfig(d=0), "d", 1, 0),
+    "StudyConfig(repetitions=0)": (lambda: StudyConfig(repetitions=0), "repetitions", 1, 0),
+    "StudyConfig(seed=-1)": (lambda: StudyConfig(seed=-1), "seed", 0, -1),
+    "StudyConfig(n_test=0)": (lambda: StudyConfig(n_test=0), "n_test", 1, 0),
+    "targets.coefficients(d=0)": (lambda: targets.coefficients("expsum", 0, 1), "d", 1, 0),
+    "targets.coefficients(seed=-1)": (lambda: targets.coefficients("expsum", 2, -1),
+                                      "seed", 0, -1),
+    "l2_error(n_test=0)": (lambda: l2_error([None], np.cos, n_test=0), "n_test", 1, 0),
+}
+
+
+@pytest.mark.parametrize("call", BELOW_MINIMUM)
+def test_integer_arguments_refuse_values_below_their_minimum(call):
+    f, name, minimum, value = BELOW_MINIMUM[call]
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {minimum}, got {value}$"):
+        f()
+
+
+# (call, the setting its message names, the unknown value, the allowed values)
+UNKNOWN_CHOICES = {
+    "mc_sample(measure)": (lambda: mc_sample("gauss", 10, 2, 0), "measure", "gauss",
+                           ("chebyshev", "uniform")),
+    "build_index_set(kind)": (lambda: build_index_set("XX", 2, 2), "index set kind", "XX",
+                              ("TP", "TD")),
+    "BasisSpec(family)": (lambda: BasisSpec("hermite", "orthonormal"), "family", "hermite",
+                          ("chebyshev", "legendre")),
+    "BasisSpec(normalization)": (lambda: BasisSpec("chebyshev", "x"), "normalization", "x",
+                                 ("classical", "orthonormal")),
+    "WeightScheme(kind)": (lambda: WeightScheme("x"), "weight kind", "x",
+                           ("unit", "density_ratio")),
+    "WeightScheme(target_density)": (lambda: WeightScheme("density_ratio", "x"),
+                                     "target density", "x", ("uniform", "chebyshev")),
+    "targets.coefficients": (lambda: targets.coefficients("sinsum", 2), "target", "sinsum",
+                             ("expsum", "cossum", "abscube")),
+    "targets.make": (lambda: targets.make("sinsum", (1.0,)), "target", "sinsum",
+                     ("expsum", "cossum", "abscube")),
+    "StudyConfig(grid)": (lambda: StudyConfig(grid="qmc"), "grid", "qmc",
+                          ("weil", "mc_chebyshev", "mc_uniform")),
+    "StudyConfig(target_density)": (lambda: StudyConfig(target_density="x"),
+                                    "target density", "x", ("uniform", "chebyshev")),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_CHOICES)
+def test_choice_arguments_refuse_unknown_values(call):
+    f, name, value, allowed = UNKNOWN_CHOICES[call]
+    with pytest.raises(ValueError) as err:
+        f()
+    assert str(err.value) == f"unknown {name} {value!r}; expected one of {allowed}"
 
 
 def test_integer_arguments_take_numpy_integers():
@@ -446,6 +537,13 @@ def test_integer_arguments_take_numpy_integers():
                               mc_sample(measure, 50, 3, 4).points)
     assert weil_exponential_sum([i(3), i(5)], i(101)) == weil_exponential_sum([3, 5], 101)
     assert check_gram_bounds(i(97), [(1, 1)]) == check_gram_bounds(97, [(1, 1)])
+    assert np.array_equal(build_index_set("TD", i(3), np.int32(2)).array,
+                          build_index_set("TD", 3, 2).array)
+    cfg = StudyConfig(d=i(3), q_min=np.int32(2), q_max=i(4), repetitions=np.uint8(5),
+                      seed=i(7), coeff_seed=i(1), n_test=np.int16(300), grid="mc_uniform")
+    assert cfg == StudyConfig(d=3, q_min=2, q_max=4, repetitions=5, seed=7, coeff_seed=1,
+                              n_test=300, grid="mc_uniform")
+    assert all(type(getattr(cfg, f)) is int for f in ("d", "q_min", "repetitions", "n_test"))
 
 
 # ---------------------------------------------------------------------------
