@@ -23,6 +23,7 @@ runs the first two, and Weil's bound itself, as `weilfit check-bounds`):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .indexsets import as_indices, build_index_set
 from .lstsq import UNIT_WEIGHTS, FitResult, gram
-from .pointgen import (_integer, check_memory, is_prime, mc_sample,
+from .pointgen import (_integer, _values, check_memory, is_prime, mc_sample,
                        weil_exponential_sum, weil_grid)
 from .polybasis import (CHEBYSHEV_CLASSICAL, BasisSpec, basis_matrix,
                         evaluate_expansions)
@@ -213,11 +214,8 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
     nodes, weights = _quad_rule_1d(basis.family, level)
     grids = np.meshgrid(*([nodes] * d), indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([weights] * d), indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.ravel()
-    fvals = np.asarray(target(pts), dtype=float).reshape(-1)
+    w = functools.reduce(np.multiply.outer, [weights] * d).reshape(-1)
+    fvals = _values(target(pts), len(pts))
     B = basis_matrix(basis, idx, pts)
     inner = B.T @ (w * fvals)
     if basis.normalization == "orthonormal":
@@ -277,7 +275,7 @@ def _errors(fits, target, n_test, seed):
     check_memory(f"the error pass over {n_test} test points",
                  8 * n_test * (d * (q + 2) + held + 1))
     test = mc_sample("uniform", n_test, d, seed)
-    fvals = np.asarray(target(test.points), dtype=float)
+    fvals = _values(target(test.points), n_test)
     errors = []
     for values in evaluate_expansions(basis, [f.index_set for f in fits], test,
                                       [f.coefficients for f in fits]):

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .indexsets import as_indices
-from .pointgen import _choice, check_memory, point_array
+from .pointgen import _choice, _values, check_memory, point_array
 from .polybasis import BasisSpec, basis_matrix, evaluate_expansions
 
 WEIGHT_KINDS = ("unit", "density_ratio")
@@ -92,19 +92,24 @@ class FitResult:
 def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
     """Evaluate the weight vector on a point set (point_array's rule)."""
     arr = point_array(pts)
-    n, d = arr.shape
+    return _weights(scheme, arr, np.ones(len(arr)))
+
+
+def _weights(scheme, arr, unit=None):
+    """The weights on the checked points arr, or `unit` where every one is 1."""
     if scheme.kind == "unit" or scheme.target_density == "chebyshev":
-        return np.ones(n)
-    return (math.pi / 2.0) ** d * np.prod(np.sqrt(1.0 - arr * arr), axis=1)
+        return unit
+    return (math.pi / 2.0) ** arr.shape[1] * np.prod(np.sqrt(1.0 - arr * arr), axis=1)
 
 
-def _scaled_design(pts, index_set, basis, weights, order="C"):
-    """(sqrt(w), diag(sqrt(w)) D), with D built by basis_matrix in the
-    memory `order` ("C" or "F") and scaled in place, so D is never held
-    twice."""
-    Dw = basis_matrix(basis, index_set, pts, order)
-    sw = np.sqrt(compute_weights(weights, pts))
-    Dw *= sw[:, None]
+def _scaled_design(arr, index_set, basis, weights, order="C"):
+    """(sqrt(w), diag(sqrt(w)) D) on the checked points arr, with D built by
+    basis_matrix in the memory `order` ("C" or "F") and scaled in place, so
+    D is never held twice; (None, D) where every weight is 1."""
+    Dw = basis_matrix(basis, index_set, arr, order)
+    sw = _weights(weights, arr)
+    if sw is not None:
+        Dw *= np.sqrt(sw, out=sw)[:, None]
     return sw, Dw
 
 
@@ -159,9 +164,10 @@ def condition(pts, index_set, basis: BasisSpec,
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
-    m, N = point_array(pts).shape[0], as_indices(index_set).shape[0]
+    arr = point_array(pts)
+    m, N = len(arr), as_indices(index_set).shape[0]
     check_memory(f"the condition number of the {m} x {N} design", 2 * 8 * m * N)
-    _, Dw = _scaled_design(pts, index_set, basis, weights, order="F")
+    _, Dw = _scaled_design(arr, index_set, basis, weights, order="F")
     return _condition_report(_svd(Dw, compute_uv=False), N)
 
 
@@ -227,12 +233,12 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     npts >= floor(11 N / 6) on, in place, leaving U in its buffer.  After
     the coefficients, U is freed and Dw rebuilt row-major for the residual.
     From the crossover on, the npts x N matrix is held twice at the peak,
-    and the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes (the design
-    and U, the weights, values and scaled values, and three N x N factors),
-    tracemalloc's peak up to the few 256 KiB block temporaries of the
-    design's assembly.  Below the crossover it is 4*8*npts*N bytes: D, the
-    copy LAPACK factors, and U twice (LAPACK's column-major U and numpy's
-    row-major copy).
+    and the memory check is 8*(2*npts*N + 3*npts + 3*N*N) bytes: the design
+    and U, the weights, values and scaled values (an upper bound where every
+    weight is 1, as nothing is scaled then), and three N x N factors; that
+    is tracemalloc's peak up to the design assembly's 256 KiB temporaries.
+    Below the crossover it is 4*8*npts*N bytes: D, the copy LAPACK factors,
+    and U twice (LAPACK's column-major U and numpy's row-major copy).
 
     Raises ValueError if npts < N (under-determined), if a point or value is
     not finite, if the values overflow the solve (a coefficient or the
@@ -241,12 +247,8 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     has relative singular values below 1e-12 or its SVD does not converge.
     """
     arr = point_array(pts)
-    m, N = arr.shape[0], as_indices(index_set).shape[0]
-    f = np.asarray(fvals, dtype=float).reshape(-1)
-    if f.shape[0] != m:
-        raise ValueError(f"got {m} points but {f.shape[0]} function values")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("function values must be finite")
+    m, N = len(arr), as_indices(index_set).shape[0]
+    f = _values(fvals, m)
     if m < N:
         raise ValueError(f"under-determined system: {m} points for {N} basis functions")
     need = 8 * (2 * m * N + 3 * m + 3 * N * N) if _qr_first(m, N) else 4 * 8 * m * N
@@ -266,10 +268,12 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
             report,
         )
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        bw = f * sw
+        bw = f if sw is None else f * sw
         coeffs = Vt.T @ ((U.T @ bw) / s)
         del U, Dw  # Dw may hold U; the residual's bits need Dw row-major
-        _, Dw = _scaled_design(arr, index_set, basis, weights)
+        Dw = basis_matrix(basis, index_set, arr)
+        if sw is not None:
+            Dw *= sw[:, None]
         r = bw - Dw @ coeffs
         residual = float(np.linalg.norm(r))
         if residual == math.inf and np.isfinite(r).all():  # |r|^2 past float range
@@ -303,7 +307,8 @@ def gram(pts, index_set, basis: BasisSpec,
     one triangle, so A is exactly symmetric.  ValueError before B is built
     if 8*(m*N + 2*N*N) bytes exceed physical memory: B and A (tracemalloc's
     peak), and the copy of A that LAPACK takes in spectral_gap."""
-    m, N = point_array(pts).shape[0], as_indices(index_set).shape[0]
+    arr = point_array(pts)
+    m, N = len(arr), as_indices(index_set).shape[0]
     check_memory(f"the {N} x {N} Gram matrix", 8 * (m * N + 2 * N * N))
-    _, Dw = _scaled_design(pts, index_set, basis, weights)
+    _, Dw = _scaled_design(arr, index_set, basis, weights)
     return Dw.T @ Dw

@@ -223,6 +223,16 @@ def point_array(pts) -> np.ndarray:
     return arr
 
 
+def _values(values, m: int) -> np.ndarray:
+    """values as a float (m,) array: the one value rule, one finite value per point."""
+    f = np.asarray(values, dtype=float).reshape(-1)
+    if f.shape[0] != m:
+        raise ValueError(f"got {m} points but {f.shape[0]} function values")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("function values must be finite")
+    return f
+
+
 def _polynomial_residues(cmod, js, M: int) -> np.ndarray:
     """f(j) mod M for f(x) = c_1 x + ... + c_d x^d over a window js of int64
     values in [0, M), with cmod the c_k mod M, by int64 Horner evaluation:

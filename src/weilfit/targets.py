@@ -72,6 +72,8 @@ def make(target: str, coeffs) -> "callable":
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d vector")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
 
     def f(pts):
         arr = point_array(pts)

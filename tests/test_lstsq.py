@@ -11,7 +11,7 @@ from weilfit.indexsets import KINDS, build_index_set
 from weilfit.lstsq import (UNIT_WEIGHTS, ConditionReport, SingularSystemError,
                            WeightScheme, compute_weights, condition,
                            evaluate_fit, gram, solve)
-from weilfit.pointgen import mc_sample, nearest_prime, weil_grid
+from weilfit.pointgen import mc_sample, nearest_prime, point_array, weil_grid
 from weilfit.polybasis import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                                LEGENDRE_ORTHONORMAL, basis_matrix, eval_tensor)
 from weilfit.study import GRIDS, StudyConfig, cell_points, realize_cell
@@ -50,6 +50,28 @@ def test_compute_weights_values():
         compute_weights(UNIT_WEIGHTS, np.array([[1.5]]))
     with pytest.raises(ValueError):
         compute_weights(WeightScheme("density_ratio", "uniform"), np.array([[np.nan]]))
+
+
+@pytest.mark.parametrize("weights", [UNIT_WEIGHTS, WeightScheme("density_ratio")])
+def test_lstsq_checks_its_points_once_and_basis_matrix_once_per_build(monkeypatch, weights):
+    """condition and gram apply point_array once and build one design (2
+    checks); solve builds two (3).  The weights reuse the checked points."""
+    calls = []
+
+    def counted(pts):
+        calls.append(1)
+        return point_array(pts)
+
+    monkeypatch.setattr("weilfit.lstsq.point_array", counted)
+    monkeypatch.setattr("weilfit.polybasis.point_array", counted)
+    g, idx = weil_grid(101, 2), build_index_set("TD", 3, 2)
+    for call, checks in ((lambda: condition(g, idx, LEGENDRE_ORTHONORMAL, weights), 2),
+                         (lambda: gram(g, idx, LEGENDRE_ORTHONORMAL, weights), 2),
+                         (lambda: solve(g, np.ones(51), idx, LEGENDRE_ORTHONORMAL,
+                                        weights), 3)):
+        calls.clear()
+        call()
+        assert len(calls) == checks
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +189,14 @@ def test_condition_matches_solve_and_is_inf_when_underdetermined():
 # Largest order per (kind, d), so N stays at or below 330 (TD q=7, d=4, the
 # largest cond-quad cell) and reaches past 128, where dgeqrf works in blocks.
 _MAX_Q = {"TD": {1: 239, 2: 20, 3: 10, 4: 7}, "TP": {1: 239, 2: 14, 3: 5, 4: 3}}
+# unit weights, weights of 1 by the density ratio (neither scales the design),
+# and weights that do
+_WEIGHTS = (UNIT_WEIGHTS, WeightScheme("density_ratio", "chebyshev"),
+            WeightScheme("density_ratio", "uniform"))
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(spec=st.sampled_from(SPECS),
-       weights=st.sampled_from([UNIT_WEIGHTS, WeightScheme("density_ratio", "uniform")]),
+@given(spec=st.sampled_from(SPECS), weights=st.sampled_from(_WEIGHTS),
        kind=st.sampled_from(KINDS), d=st.integers(1, 4), data=st.data(),
        seed=st.integers(0, 2**32 - 1))
 def condition_equals_the_full_svd(spec, weights, kind, d, data, seed):
@@ -220,8 +245,7 @@ def _solve_by_the_full_svd(pts, f, idx, spec, weights):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(spec=st.sampled_from(SPECS),
-       weights=st.sampled_from([UNIT_WEIGHTS, WeightScheme("density_ratio", "uniform")]),
+@given(spec=st.sampled_from(SPECS), weights=st.sampled_from(_WEIGHTS),
        kind=st.sampled_from(KINDS), d=st.integers(1, 4),
        points=st.sampled_from(["weil", "mc", "repeated"]), data=st.data(),
        seed=st.integers(0, 2**32 - 1))

@@ -594,3 +594,39 @@ def test_every_point_consumer_applies_the_one_point_rule(consumer, bad):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         POINT_CONSUMERS[consumer](pts)
     POINT_CONSUMERS[consumer](_GOOD)  # the same call on valid points passes
+
+
+_FIT = solve(_GOOD, np.ones(len(_GOOD)), _IDX, CHEBYSHEV_CLASSICAL)
+# every public function that takes function values, given a target t that
+# maps points to them
+VALUE_CONSUMERS = {
+    "solve": lambda t: solve(_GOOD, t(_GOOD), _IDX, CHEBYSHEV_CLASSICAL),
+    "reference_projection": lambda t: reference_projection(
+        t, _IDX, CHEBYSHEV_ORTHONORMAL, 3),
+    "l2_error": lambda t: l2_error(_FIT, t, n_test=10),
+}
+# how each spoils the good values v, and its message for n points
+BAD_VALUES = {
+    "nan": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.nan, v),
+            lambda n: "function values must be finite"),
+    "inf": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.inf, v),
+            lambda n: "function values must be finite"),
+    "one too few": (lambda v: v[:-1], lambda n: f"got {n} points but {n - 1} function values"),
+    "scalar": (lambda v: v[0], lambda n: f"got {n} points but 1 function values"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("consumer", VALUE_CONSUMERS)
+def test_every_value_consumer_applies_the_one_value_rule(consumer, bad):
+    spoil, message = BAD_VALUES[bad]
+    seen = []
+
+    def target(p, spoil=spoil):
+        seen.append(len(p))
+        return spoil(np.cos(p).sum(axis=1))
+
+    with pytest.raises(ValueError) as err:
+        VALUE_CONSUMERS[consumer](target)
+    assert str(err.value) == message(seen[-1])
+    VALUE_CONSUMERS[consumer](functools.partial(target, spoil=lambda v: v))  # good values pass

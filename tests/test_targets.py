@@ -66,6 +66,13 @@ def test_make_validation():
         f(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+        make("expsum", [bad, 1.0])
+    assert np.isfinite(make("expsum", [0.5, 1.0])(np.zeros((2, 2)))).all()
+
+
 def test_abscube_has_kink_but_is_c2():
     # |s|^3 is twice continuously differentiable; its third derivative jumps.
     h = make("abscube", (1.0,))
