@@ -597,36 +597,34 @@ def test_every_point_consumer_applies_the_one_point_rule(consumer, bad):
 
 
 _FIT = solve(_GOOD, np.ones(len(_GOOD)), _IDX, CHEBYSHEV_CLASSICAL)
-# every public function that takes function values, given a target t that
-# maps points to them
+# every public function that takes function values: its number of points n
+# and the call, given a target t that maps points to values
 VALUE_CONSUMERS = {
-    "solve": lambda t: solve(_GOOD, t(_GOOD), _IDX, CHEBYSHEV_CLASSICAL),
-    "reference_projection": lambda t: reference_projection(
-        t, _IDX, CHEBYSHEV_ORTHONORMAL, 3),
-    "l2_error": lambda t: l2_error(_FIT, t, n_test=10),
+    "solve": (len(_GOOD), lambda t: solve(_GOOD, t(_GOOD), _IDX, CHEBYSHEV_CLASSICAL)),
+    "reference_projection": (3 ** 2, lambda t: reference_projection(
+        t, _IDX, CHEBYSHEV_ORTHONORMAL, 3)),
+    "l2_error": (10, lambda t: l2_error(_FIT, t, n_test=10)),
 }
 # how each spoils the good values v, and its message for n points
 BAD_VALUES = {
     "nan": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.nan, v),
-            lambda n: "function values must be finite"),
+            "function values must be finite"),
     "inf": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.inf, v),
-            lambda n: "function values must be finite"),
-    "one too few": (lambda v: v[:-1], lambda n: f"got {n} points but {n - 1} function values"),
-    "scalar": (lambda v: v[0], lambda n: f"got {n} points but 1 function values"),
+            "function values must be finite"),
+    "one too few": (lambda v: v[:-1], "got {n} points but {k} function values"),
+    "scalar": (lambda v: v[0], "got {n} points but 1 function values"),
 }
+
+
+def _good_values(p):
+    return np.cos(p).sum(axis=1)
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("consumer", VALUE_CONSUMERS)
 def test_every_value_consumer_applies_the_one_value_rule(consumer, bad):
+    n, consume = VALUE_CONSUMERS[consumer]
     spoil, message = BAD_VALUES[bad]
-    seen = []
-
-    def target(p, spoil=spoil):
-        seen.append(len(p))
-        return spoil(np.cos(p).sum(axis=1))
-
-    with pytest.raises(ValueError) as err:
-        VALUE_CONSUMERS[consumer](target)
-    assert str(err.value) == message(seen[-1])
-    VALUE_CONSUMERS[consumer](functools.partial(target, spoil=lambda v: v))  # good values pass
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=n, k=n - 1))}$"):
+        consume(lambda p: spoil(_good_values(p)))
+    consume(_good_values)  # the same call with good values passes
