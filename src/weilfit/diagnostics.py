@@ -194,7 +194,7 @@ def reference_projection(target, index_set, basis: BasisSpec, level: int) -> np.
     """Coefficients of the continuous orthogonal projection of `target` onto
     span{Phi_n : n in the index set}, via tensor Gauss quadrature under the
     basis family's natural density (arcsine for Chebyshev, uniform for
-    Legendre).
+    Legendre).  target(nodes) must follow the vector rule (pointgen._values).
 
     `level`, the number of 1-d quadrature nodes per coordinate, is an int
     of at least q+1 (q = largest index component; else ValueError), so
@@ -234,7 +234,8 @@ class ErrorReport:
 
 def l2_error(fit, target, n_test: int = 2000, seed: int = 0) -> ErrorReport:
     """Root-mean-square error sqrt(sum_i (f - fit)^2 / n_test) on n_test
-    uniform test points in [-1,1]^d drawn with the given seed.
+    uniform test points in [-1,1]^d drawn with the given seed, where the
+    target's values must follow the vector rule (pointgen._values).
 
     `fit` is one FitResult, whose error is a float, or a sequence of them,
     whose errors are a tuple of floats in order; a None entry (a singular

@@ -92,13 +92,14 @@ class FitResult:
 def compute_weights(scheme: WeightScheme, pts) -> np.ndarray:
     """Evaluate the weight vector on a point set (point_array's rule)."""
     arr = point_array(pts)
-    return _weights(scheme, arr, np.ones(len(arr)))
+    w = _weights(scheme, arr)
+    return np.ones(len(arr)) if w is None else w
 
 
-def _weights(scheme, arr, unit=None):
-    """The weights on the checked points arr, or `unit` where every one is 1."""
+def _weights(scheme, arr):
+    """The weights on the checked points arr, or None where every one is 1."""
     if scheme.kind == "unit" or scheme.target_density == "chebyshev":
-        return unit
+        return None
     return (math.pi / 2.0) ** arr.shape[1] * np.prod(np.sqrt(1.0 - arr * arr), axis=1)
 
 
@@ -217,7 +218,7 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     Parameters
     ----------
     pts : SampleSet or (npts, d) array
-    fvals : length-npts values of the target at the points
+    fvals : (npts,) values of the target at the points (the vector rule)
     index_set : IndexSet, sequence of multi-index tuples, or (N, d) int
         array (column order)
     basis, weights : basis convention and row-weight scheme
@@ -240,8 +241,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     Below the crossover it is 4*8*npts*N bytes: D, the copy LAPACK factors,
     and U twice (LAPACK's column-major U and numpy's row-major copy).
 
-    Raises ValueError if npts < N (under-determined), if a point or value is
-    not finite, if the values overflow the solve (a coefficient or the
+    Raises ValueError if npts < N (under-determined), if the points or
+    values break their rule (point_array's, of the index set's dimension, or
+    the vector rule), if the values overflow the solve (a coefficient or the
     residual is not finite), or, before D is built, if that check exceeds
     physical memory.  Raises SingularSystemError if the scaled design matrix
     has relative singular values below 1e-12 or its SVD does not converge.
@@ -290,10 +292,10 @@ def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
     The one-fit case of polybasis.evaluate_expansions: the points stream
     through row blocks of about 32768 entries of the design matrix, which is
     never held whole, and at one BLAS thread the values equal
-    basis_matrix(...) @ fit.coefficients bit for bit.  Non-finite
-    coefficients raise ValueError.  To score several fits on one test
-    sample, diagnostics.l2_error takes a sequence of fits and evaluates them
-    all in one pass.
+    basis_matrix(...) @ fit.coefficients bit for bit.  Coefficients that
+    break the vector rule raise ValueError.  To score several fits on one
+    test sample, diagnostics.l2_error takes a sequence of fits and evaluates
+    them all in one pass.
     """
     (values,) = evaluate_expansions(fit.basis, [fit.index_set], pts, [fit.coefficients])
     return values

@@ -204,17 +204,21 @@ def mc_sample(measure: str, n: int, d: int, seed: int) -> SampleSet:
     return SampleSet(pts)
 
 
-def point_array(pts) -> np.ndarray:
+def point_array(pts, d: int | None = None) -> np.ndarray:
     """A SampleSet or array-like as an (n, d) float array (a 1-d input is
     one column): the one point-set rule, which every function that takes
-    points applies.  ValueError unless the array is 2-d and nonempty and
-    every coordinate is finite and in [-1, 1]."""
-    arr = getattr(pts, "points", pts)
+    points applies.  ValueError unless the array is real, 2-d, nonempty and
+    of dimension d (when given), and every coordinate finite and in [-1, 1]."""
+    arr = np.asarray(getattr(pts, "points", pts))
+    if np.iscomplexobj(arr):
+        raise ValueError("points must be real")
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"points must form a 2-d array, got shape {arr.shape}")
+    if d is not None and arr.shape[1] != d:
+        raise ValueError(f"points have dimension {arr.shape[1]}, expected {d}")
     if arr.shape[0] == 0:
         raise ValueError("empty point set")
     if not np.all(np.abs(arr) <= 1.0):  # also false for NaN
@@ -223,14 +227,18 @@ def point_array(pts) -> np.ndarray:
     return arr
 
 
-def _values(values, m: int) -> np.ndarray:
-    """values as a float (m,) array: the one value rule, one finite value per point."""
-    f = np.asarray(values, dtype=float).reshape(-1)
-    if f.shape[0] != m:
-        raise ValueError(f"got {m} points but {f.shape[0]} function values")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("function values must be finite")
-    return f
+def _values(values, n: int, name: str = "function values") -> np.ndarray:
+    """values as a float (n,) array: the one vector rule, for function values
+    and coefficients.  ValueError unless it is real, of shape (n,), finite."""
+    v = np.asarray(values)
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}; expected ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def _polynomial_residues(cmod, js, M: int) -> np.ndarray:

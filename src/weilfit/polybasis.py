@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import as_indices
-from .pointgen import _choice, _integer, check_memory, point_array
+from .pointgen import _choice, _integer, _values, check_memory, point_array
 
 FAMILIES = ("chebyshev", "legendre")
 NORMALIZATIONS = ("classical", "orthonormal")
@@ -87,15 +87,15 @@ def _tables(spec, y, qmax):
 def eval_1d(family: str, normalization: str, n: int, y):
     """Evaluate the 1-d basis function of order n at y (scalar or array).
 
-    Raises ValueError for y that break point_array's rule (none, NaN or
-    |y| > 1), an order n that is not a nonnegative int (bools included),
-    or an invalid (family, normalization) pair.  The value is row n of the
-    table of orders 0..n, so time and memory grow as n * len(y); it is the
-    pointwise reference, meant for small orders.
+    Raises ValueError for y that break point_array's rule (none, complex,
+    NaN or |y| > 1), an order n that is not a nonnegative int (bools
+    included), or an invalid (family, normalization) pair.  The value is row
+    n of the table of orders 0..n, so time and memory grow as n * len(y); it
+    is the pointwise reference, meant for small orders.
     """
     spec = BasisSpec(family, normalization)  # validates the pair
     n = _integer("order n", n, 0)
-    arr = np.asarray(y, dtype=float)
+    arr = np.asarray(y)
     vals = _tables(spec, point_array(arr.reshape(-1))[:, 0], n)[n]
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
@@ -104,14 +104,14 @@ def eval_tensor(spec: BasisSpec, n, y):
     """Evaluate the tensor basis function prod_i phi_{n_i}(y^i).
 
     n is one multi-index of nonnegative ints, validated like a row of
-    as_indices.  y is a single point (length-d) or an (npts, d) array.  The
-    result is the coordinatewise product of eval_1d values, multiplied left to
-    right.
+    as_indices.  y is a single point (length-d) or an (npts, d) array, by
+    point_array's rule with d = len(n).  The result is the coordinatewise
+    product of eval_1d values, multiplied left to right.
     """
     n = as_indices([n])[0].tolist()
-    arr = np.asarray(y, dtype=float)
+    arr = np.asarray(y)
     single = arr.ndim == 1
-    pts = _points(arr[None, :] if single else arr, len(n))
+    pts = point_array(arr[None, :] if single else arr, len(n))
     acc = eval_1d(spec.family, spec.normalization, n[0], pts[:, 0])
     for i in range(1, len(n)):
         acc = acc * eval_1d(spec.family, spec.normalization, n[i], pts[:, i])
@@ -122,14 +122,6 @@ def eval_tensor(spec: BasisSpec, n, y):
 # stay in cache and far below D.  On the 50000 x 455 conv-eval test design,
 # half and twice this size were slower.
 _BLOCK_ENTRIES = 32768
-
-
-def _points(pts, d):
-    """point_array(pts), of points of dimension d."""
-    arr = point_array(pts)
-    if arr.shape[1] != d:
-        raise ValueError(f"point dimension {arr.shape[1]} != index dimension {d}")
-    return arr
 
 
 def _levels(spec, idx, arr):
@@ -197,14 +189,15 @@ def basis_matrix(spec: BasisSpec, index_set, pts, order: str = "C") -> np.ndarra
     are multiplied in the same coordinate order.  `order` is the memory
     layout of D: "C" (row-major, the default) or "F" (column-major, the
     layout LAPACK factors in place; lstsq.condition asks for it).  The
-    entries are the same in both.  Raises ValueError for another order, and,
-    before anything large is built, when the 8*m*N bytes of D exceed the
-    machine's physical memory.
+    entries are the same in both.  Raises ValueError for another order, for
+    points that break point_array's rule or whose dimension is not the index
+    set's, and, before anything large is built, when the 8*m*N bytes of D
+    exceed the machine's physical memory.
     """
     if order not in ("C", "F"):
         raise ValueError(f"order must be 'C' or 'F', got {order!r}")
     idx = as_indices(index_set)
-    arr = _points(pts, idx.shape[1])
+    arr = point_array(pts, idx.shape[1])
     m, N = arr.shape[0], idx.shape[0]
     check_memory(f"the {m} x {N} design matrix", 8 * m * N)
     levels = _levels(spec, idx, arr)
@@ -235,15 +228,6 @@ def _columns(union, idx):
     return cols
 
 
-def _coefficients(coeffs, N):
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (N,):
-        raise ValueError(f"coeffs has shape {c.shape}; expected ({N},)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coeffs must be finite")
-    return c
-
-
 def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
     """Iterator over the values sum_j c_j Phi_{n_j}(y_i) of several
     expansions at the same points, one (m,) array per (index set, coeffs)
@@ -263,8 +247,10 @@ def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
     have rows, so more expansions take more passes over the points and
     memory stays a small multiple of the tables.  Each array is handed over
     as it is yielded; the iterator keeps no reference to it.  Every input is
-    validated before the iterator is returned: coeffs must hold one finite
-    value per index of its set.
+    validated before the iterator is returned: the points by point_array's
+    rule, of the union's dimension, and each coeffs by the vector rule
+    (pointgen._values), a real, finite array of shape exactly (N,), N its
+    set's size.
     """
     idxs = [as_indices(index_set) for index_set in index_sets]
     coeffs = list(coeffs)
@@ -272,9 +258,9 @@ def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
         raise ValueError(f"{len(idxs)} index sets and {len(coeffs)} coefficient "
                          f"vectors; expected the same positive number")
     union = max(idxs, key=len)
-    arr = _points(pts, union.shape[1])
+    arr = point_array(pts, union.shape[1])
     columns = [_columns(union, idx) for idx in idxs]
-    cs = [_coefficients(c, idx.shape[0]) for c, idx in zip(coeffs, idxs)]
+    cs = [_values(c, idx.shape[0], "coeffs") for c, idx in zip(coeffs, idxs)]
     held = union.shape[1] * (int(union.max()) + 1)
     return _passes(_levels(spec, union, arr), arr.shape[0], union.shape[0],
                    list(zip(columns, cs)), held)

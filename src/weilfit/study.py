@@ -122,10 +122,10 @@ def load_config(path) -> dict:
     """Parse a flat key=value config file ('#' starts a comment) into a dict
     of StudyConfig fields, each value parsed as its field's type.
 
-    A malformed line, an unknown key or a value that does not parse raises
-    ValueError naming the file and line; StudyConfig checks the values."""
+    A malformed line, an unknown or repeated key or an unparsable value
+    raises ValueError naming the file and line; StudyConfig checks them."""
     known = typing.get_type_hints(StudyConfig)
-    values = {}
+    values, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -136,6 +136,9 @@ def load_config(path) -> dict:
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if first.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} "
+                                 f"(first on line {first[key]})")
             kind = known[key]
             try:
                 values[key] = kind(val)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pointgen import _choice, _integer, point_array
+from .pointgen import _choice, _integer, _values, point_array
 
 TARGET_NAMES = ("expsum", "cossum", "abscube")
 
@@ -66,20 +66,17 @@ def coefficients(target: str, d: int, seed: int | None = None) -> tuple:
 
 def make(target: str, coeffs) -> "callable":
     """Build the target as a vectorized callable on (npts, d) point arrays,
-    d = len(coeffs), which it validates by point_array's rule.  ValueError
-    unless target is one of TARGET_NAMES."""
+    d = len(coeffs), which it validates by point_array's rule, dimension
+    included.  ValueError unless target is one of TARGET_NAMES and coeffs
+    is nonempty and follows the vector rule (pointgen._values): real,
+    finite and 1-d."""
     _choice("target", target, TARGET_NAMES)
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or c.size == 0:
+    c = _values(coeffs, np.size(coeffs), "coefficients")
+    if c.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d vector")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
 
     def f(pts):
-        arr = point_array(pts)
-        if arr.shape[1] != c.size:
-            raise ValueError(f"target expects d={c.size} points, got d={arr.shape[1]}")
-        s = arr @ c
+        s = point_array(pts, c.size) @ c
         if target == "expsum":
             return np.exp(-s)
         if target == "cossum":

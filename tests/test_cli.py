@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -237,6 +238,23 @@ def test_load_config_rejects_garbage(tmp_path):
     bad.write_text("qmin=2\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(bad)
+
+
+def test_a_config_key_set_twice_is_refused_with_both_lines(tmp_path, capsys):
+    # refused, not overwritten by the last value
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("d=2\nq_max=2\n# again\nd=3\n")
+    message = f"{cfgfile}:4: duplicate config key 'd' (first on line 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_config(cfgfile)
+    out = tmp_path / "o.csv"
+    rc = main(["cond-study", "--config", str(cfgfile), "--d", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    cfgfile.write_text("d=3\nq_max=2\n")  # one key once: the flag still wins
+    assert main(["cond-study", "--config", str(cfgfile), "--d", "2", "--out", str(out)]) == 0
+    assert "# d=2\n" in out.read_text()
 
 
 def test_round_half_up():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import os
@@ -19,6 +20,7 @@ from weilfit import (CHEBYSHEV_CLASSICAL, CHEBYSHEV_ORTHONORMAL,
                      StudyConfig, WeightScheme, basis_matrix, build_index_set,
                      check_bounds, check_gram_bounds, compute_weights,
                      condition, eval_1d, eval_tensor, evaluate_expansions,
+                     evaluate_fit,
                      gram, l2_error, reference_projection, solve, targets,
                      td_cardinality, tp_cardinality)
 
@@ -584,6 +586,9 @@ BAD_POINTS = {
             "evaluation points must lie in [-1,1]; max |y| = nan"),
     "1.5": (np.where(np.arange(24).reshape(12, 2) == 7, 1.5, _GOOD),
             "evaluation points must lie in [-1,1]; max |y| = 1.5"),
+    # numpy's float conversion would keep only the real parts
+    "complex": (np.where(np.arange(24).reshape(12, 2) == 7, 0.1 + 3j, _GOOD),
+                "points must be real"),
 }
 
 
@@ -596,35 +601,73 @@ def test_every_point_consumer_applies_the_one_point_rule(consumer, bad):
     POINT_CONSUMERS[consumer](_GOOD)  # the same call on valid points passes
 
 
-_FIT = solve(_GOOD, np.ones(len(_GOOD)), _IDX, CHEBYSHEV_CLASSICAL)
-# every public function that takes function values: its number of points n
-# and the call, given a target t that maps points to values
-VALUE_CONSUMERS = {
-    "solve": (len(_GOOD), lambda t: solve(_GOOD, t(_GOOD), _IDX, CHEBYSHEV_CLASSICAL)),
-    "reference_projection": (3 ** 2, lambda t: reference_projection(
-        t, _IDX, CHEBYSHEV_ORTHONORMAL, 3)),
-    "l2_error": (10, lambda t: l2_error(_FIT, t, n_test=10)),
+# every public function that takes points of a given dimension, here 2
+DIMENSION_CONSUMERS = {
+    "point_array": lambda p: point_array(p, 2),
+    **{name: POINT_CONSUMERS[name] for name in (
+        "basis_matrix", "evaluate_expansions", "eval_tensor", "condition", "solve",
+        "gram", "target")},
 }
-# how each spoils the good values v, and its message for n points
-BAD_VALUES = {
-    "nan": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.nan, v),
-            "function values must be finite"),
-    "inf": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.inf, v),
-            "function values must be finite"),
-    "one too few": (lambda v: v[:-1], "got {n} points but {k} function values"),
-    "scalar": (lambda v: v[0], "got {n} points but 1 function values"),
-}
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("consumer", DIMENSION_CONSUMERS)
+def test_every_point_consumer_refuses_points_of_another_dimension(consumer, d):
+    with pytest.raises(ValueError, match=f"^points have dimension {d}, expected 2$"):
+        DIMENSION_CONSUMERS[consumer](mc_sample("uniform", 12, d, 1).points)
 
 
 def _good_values(p):
     return np.cos(p).sum(axis=1)
 
 
+_FIT = solve(_GOOD, np.ones(len(_GOOD)), _IDX, CHEBYSHEV_CLASSICAL)
+# every public function that takes a vector by the vector rule: the vector's
+# name and length n, and the call, given a function s that makes the vector
+# from its good value (for function values, the target's values at the
+# call's points)
+VECTOR_CONSUMERS = {
+    "solve": ("function values", len(_GOOD), lambda s: solve(
+        _GOOD, s(_good_values(_GOOD)), _IDX, CHEBYSHEV_CLASSICAL)),
+    "reference_projection": ("function values", 4 ** 2, lambda s: reference_projection(
+        lambda p: s(_good_values(p)), _IDX, CHEBYSHEV_ORTHONORMAL, 4)),
+    "l2_error": ("function values", 10, lambda s: l2_error(
+        _FIT, lambda p: s(_good_values(p)), n_test=10)),
+    "evaluate_expansions": ("coeffs", len(_IDX), lambda s: evaluate_expansions(
+        LEGENDRE_ORTHONORMAL, [_IDX], _GOOD, [s(_FIT.coefficients)])),
+    "evaluate_fit": ("coeffs", len(_IDX), lambda s: evaluate_fit(
+        dataclasses.replace(_FIT, coefficients=s(_FIT.coefficients)), _GOOD)),
+    "targets.make": ("coefficients", 2, lambda s: targets.make(
+        "expsum", s(np.array([0.5, -0.25])))(_GOOD)),
+}
+# how each spoils the good vector v, and its message for a vector of length n
+BAD_VALUES = {
+    "nan": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.nan, v),
+            "{name} must be finite"),
+    "inf": (lambda v: np.where(np.arange(len(v)) == len(v) // 2, np.inf, v),
+            "{name} must be finite"),
+    "one too few": (lambda v: v[:-1], "{name} has shape ({k},); expected ({n},)"),
+    "scalar": (lambda v: v[0], "{name} has shape (); expected ({n},)"),
+    "column": (lambda v: v[:, None], "{name} has shape ({n}, 1); expected ({n},)"),
+    # the right size in another shape: read in C order, a wrong answer
+    "transposed": (lambda v: v.reshape(-1, 2).T, "{name} has shape (2, {h}); expected ({n},)"),
+    "complex": (lambda v: v + 1j, "{name} must be real"),
+}
+# targets.make takes d from the vector's own length: a shorter vector makes a
+# target of lower dimension, which refuses the points, and a scalar has length 1
+MAKE_MESSAGES = {"one too few": "points have dimension 2, expected 1",
+                 "scalar": "coefficients has shape (); expected (1,)"}
+
+
 @pytest.mark.parametrize("bad", BAD_VALUES)
-@pytest.mark.parametrize("consumer", VALUE_CONSUMERS)
+@pytest.mark.parametrize("consumer", VECTOR_CONSUMERS)
 def test_every_value_consumer_applies_the_one_value_rule(consumer, bad):
-    n, consume = VALUE_CONSUMERS[consumer]
+    """The one vector rule, for function values and coefficients alike."""
+    name, n, consume = VECTOR_CONSUMERS[consumer]
     spoil, message = BAD_VALUES[bad]
-    with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=n, k=n - 1))}$"):
-        consume(lambda p: spoil(_good_values(p)))
-    consume(_good_values)  # the same call with good values passes
+    if consumer == "targets.make":
+        message = MAKE_MESSAGES.get(bad, message)
+    message = message.format(name=name, n=n, k=n - 1, h=n // 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        consume(spoil)
+    consume(lambda v: v)  # the same call with the good vector passes

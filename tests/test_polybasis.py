@@ -376,9 +376,9 @@ def test_design_and_expansions_reject_an_empty_point_set():
 
 def test_design_and_expansions_reject_points_of_another_dimension():
     idx = build_index_set("TD", 2, 2)
-    with pytest.raises(ValueError, match=r"^point dimension 3 != index dimension 2$"):
+    with pytest.raises(ValueError, match=r"^points have dimension 3, expected 2$"):
         basis_matrix(CHEBYSHEV_CLASSICAL, idx, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match=r"^point dimension 1 != index dimension 2$"):
+    with pytest.raises(ValueError, match=r"^points have dimension 1, expected 2$"):
         evaluate_expansions(LEGENDRE_ORTHONORMAL, [idx], np.zeros(4), [np.ones(len(idx))])
 
 
