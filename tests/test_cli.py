@@ -820,7 +820,8 @@ def _parses(kind, text):
 # comment; the filters below keep those that the field's parser rejects.
 _TOKENS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r,#="),
                   max_size=6)
-_NOT_FINITE = st.one_of(_TOKENS.filter(lambda t: not _parses(float, t)),
+# readers strip values (config) or lines (CSV), so "0\x1f" can read as 0
+_NOT_FINITE = st.one_of(_TOKENS.filter(lambda t: not _parses(float, t.strip())),
                         st.sampled_from(["nan", "inf", "-inf", "1e400"]))
 _NOT_IN_DOMAIN = st.one_of(_NOT_FINITE, st.sampled_from(["1.5", "-2", "1.0000001"]))
 _BAD_BYTES = st.sampled_from([b"\xff", b"\xfe\xff", b"\xc3", b"\x80abc"])
@@ -897,7 +898,7 @@ def _bad_configs(draw):
         bad = draw(st.sampled_from(_OUT_OF_RANGE))
     elif kind == "coeffs":
         bad = "coeffs=" + draw(_TOKENS.filter(
-            lambda t: t.strip() != "" and not _parses(float, t)))
+            lambda t: t.strip() != "" and not _parses(float, t.strip())))
     else:
         bad = ""
     # a later line overrides an earlier one of the same key
