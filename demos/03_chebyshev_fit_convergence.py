@@ -6,26 +6,17 @@ its size scales quadratically in the space dimension N, and the error is
 measured as an RMS over 2000 seeded uniform test points.
 """
 
-from weilfit import (CHEBYSHEV_ORTHONORMAL, UNIT_WEIGHTS, StudyConfig,
-                     l2_error, realize_cell, solve, weil_grid)
-from weilfit.targets import coefficients, make
+from weilfit.study import StudyConfig, cond_study, conv_study
 
-cfg = StudyConfig(d=2, scaling="quadratic", c=0.5)
-coeffs = coefficients("expsum", 2)  # frozen draw, reproducible run to run
-f = make("expsum", coeffs)
-print(f"target: exp(-(c . y)) with c = {coeffs}\n")
+cfg = StudyConfig(d=2, q_min=2, q_max=10, scaling="quadratic", c=0.5)
+# the published coefficients: a frozen draw, reproducible run to run
+print(f"target: exp(-(c . y)) with c = {cfg.target_coeffs()}\n")
 
 print(f"{'q':>3} {'N':>5} {'m':>7} {'M':>7} {'cond(A)':>12} {'rms error':>12}")
 prev = None
-for q in range(2, 11):
-    index_set, N, m, M = realize_cell(cfg, q)
-    grid = weil_grid(M, cfg.d)
-    fit = solve(grid, f(grid.points), index_set, CHEBYSHEV_ORTHONORMAL,
-                UNIT_WEIGHTS)
-    err = l2_error(fit, f).l2_error
+for (q, N, m, M, cond), (*_, err) in zip(cond_study(cfg)[0], conv_study(cfg)[0]):
     ratio = "" if prev is None else f"  (x {err / prev:.3f})"
-    print(f"{q:>3} {N:>5} {m:>7} {M:>7} {fit.condition_report.cond_A:>12.4f} "
-          f"{err:>12.4e}{ratio}")
+    print(f"{q:>3} {N:>5} {m:>7} {M:>7} {cond:>12.4f} {err:>12.4e}{ratio}")
     prev = err
 
 print("\nEach extra order multiplies the error by roughly a constant factor")

@@ -165,8 +165,9 @@ def condition(pts, index_set, basis: BasisSpec,
     LAPACK reaches these singular values by another route than the full SVD
     in `solve`, so the two reports agree to a few ulps (about 1e-15
     relative), not bit for bit."""
-    arr = point_array(pts)
-    m, N = len(arr), as_indices(index_set).shape[0]
+    N, d = as_indices(index_set).shape
+    arr = point_array(pts, d)
+    m = len(arr)
     check_memory(f"the condition number of the {m} x {N} design", 2 * 8 * m * N)
     _, Dw = _scaled_design(arr, index_set, basis, weights, order="F")
     return _condition_report(_svd(Dw, compute_uv=False), N)
@@ -248,8 +249,9 @@ def solve(pts, fvals, index_set, basis: BasisSpec,
     physical memory.  Raises SingularSystemError if the scaled design matrix
     has relative singular values below 1e-12 or its SVD does not converge.
     """
-    arr = point_array(pts)
-    m, N = len(arr), as_indices(index_set).shape[0]
+    N, d = as_indices(index_set).shape
+    arr = point_array(pts, d)
+    m = len(arr)
     f = _values(fvals, m)
     if m < N:
         raise ValueError(f"under-determined system: {m} points for {N} basis functions")
@@ -309,8 +311,9 @@ def gram(pts, index_set, basis: BasisSpec,
     one triangle, so A is exactly symmetric.  ValueError before B is built
     if 8*(m*N + 2*N*N) bytes exceed physical memory: B and A (tracemalloc's
     peak), and the copy of A that LAPACK takes in spectral_gap."""
-    arr = point_array(pts)
-    m, N = len(arr), as_indices(index_set).shape[0]
+    N, d = as_indices(index_set).shape
+    arr = point_array(pts, d)
+    m = len(arr)
     check_memory(f"the {N} x {N} Gram matrix", 8 * (m * N + 2 * N * N))
     _, Dw = _scaled_design(arr, index_set, basis, weights)
     return Dw.T @ Dw

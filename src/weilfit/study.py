@@ -27,7 +27,7 @@ from .diagnostics import l2_error
 from .indexsets import KINDS, build_index_set
 from .lstsq import (TARGET_DENSITIES, UNIT_WEIGHTS, WEIGHT_KINDS, SingularSystemError,
                     WeightScheme, condition, solve)
-from .pointgen import (MAX_MODULUS, _choice, _integer, is_prime, mc_sample,
+from .pointgen import (MAX_MODULUS, _choice, _integer, _values, is_prime, mc_sample,
                        nearest_prime, weil_grid)
 from .polybasis import FAMILIES, NORMALIZATIONS, BasisSpec
 
@@ -89,12 +89,10 @@ class StudyConfig:
         self.basis_spec()  # legendre has no classical normalization
         if self.coeffs:
             try:
-                c = self.target_coeffs()
+                _values(self.target_coeffs(), self.d, "coeffs")
             except ValueError:
-                c = ()
-            if len(c) != self.d or not all(map(math.isfinite, c)):
                 raise ValueError(f"coeffs must be d = {self.d} finite comma-separated "
-                                 f"floats, got {self.coeffs!r}")
+                                 f"floats, got {self.coeffs!r}") from None
         if self.grid == "weil":
             self.repetitions = 1  # deterministic grid: averaging is a no-op
 

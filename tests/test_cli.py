@@ -70,11 +70,18 @@ def test_study_config_validation():
     # also the fields a study kind does not read
     for bad in (dict(family="hermite"), dict(family="legendre", normalization="classical"),
                 dict(weights="reciprocal"), dict(target_density="normal"),
-                dict(target="sinsum"), dict(coeffs="abc"), dict(coeffs="0.5"),
-                dict(coeffs="0.5,nan")):
+                dict(target="sinsum")):
         with pytest.raises(ValueError):
             StudyConfig(**bad)
     assert StudyConfig(coeffs="0.5,-1e-3").target_coeffs() == (0.5, -1e-3)
+
+
+@pytest.mark.parametrize("coeffs", ["1,2,3", "nan,1", "1,x", "1e400,1", "1"])
+def test_bad_coeffs_name_the_dimension_and_the_string(coeffs):
+    # too many, not finite, unparsable, overflowing to inf, too few: one message
+    message = f"coeffs must be d = 2 finite comma-separated floats, got {coeffs!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StudyConfig(d=2, coeffs=coeffs)
 
 
 def test_load_config_and_precedence(tmp_path):

@@ -1,8 +1,9 @@
 """Every demo, the README's python quickstart and every line of its CLI block
 run to the end with exit code 0 and nothing on stderr.  At one BLAS thread
 the stdout of each demo and of the quickstart is byte-identical to
-tests/reference/demos/<name>.stdout (05_weighted_legendre.py prints other
-last digits at two threads, so the comparison pins the thread count)."""
+tests/reference/demos/<name>.stdout (at two threads 05_weighted_legendre.py
+prints other last digits in its q = 15 row, so the comparison pins the
+thread count)."""
 
 import re
 import shlex

@@ -74,6 +74,17 @@ def test_lstsq_checks_its_points_once_and_basis_matrix_once_per_build(monkeypatc
         assert len(calls) == checks
 
 
+@pytest.mark.parametrize("call", [
+    lambda pts, idx: condition(pts, idx, CHEBYSHEV_CLASSICAL),
+    lambda pts, idx: solve(pts, np.zeros(len(pts)), idx, CHEBYSHEV_CLASSICAL),
+    lambda pts, idx: gram(pts, idx, CHEBYSHEV_CLASSICAL)], ids=["condition", "solve", "gram"])
+def test_points_of_another_dimension_are_refused_before_the_memory_check(monkeypatch, call):
+    # 1000 bytes of stand-in memory would refuse the 100 x 6 design itself
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 1000)
+    with pytest.raises(ValueError, match=r"^points have dimension 3, expected 2$"):
+        call(np.zeros((100, 3)), build_index_set("TD", 2, 2))
+
+
 # ---------------------------------------------------------------------------
 # exact recovery of in-span targets
 
