@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import typing
 from dataclasses import fields
 
 import numpy as np
@@ -236,12 +235,11 @@ def _add_settings(p, names, defaults=None):
     """One --<name> flag (with - for _) per StudyConfig field in `names`,
     parsed as the field's type and limited to its CHOICES, defaulting to the
     field of `defaults` (None leaves it unset, so a config file applies)."""
-    types = typing.get_type_hints(study.StudyConfig)
     for f in fields(study.StudyConfig):
         if f.name in names:
-            choices = study.CHOICES.get(f.name)
+            choices, kind = study.CHOICES.get(f.name), study.TYPES[f.name]
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=None if types[f.name] is str else types[f.name],
+                           type=None if kind is str else kind,
                            choices=None if choices is None else list(choices),
                            default=getattr(defaults, f.name, None),
                            help=f.metadata.get("help"))

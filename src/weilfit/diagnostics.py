@@ -68,7 +68,8 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     [M/2^{d+1} - (d-1)sqrt(M)/2, M/2^{d+1} + (d-1)sqrt(M)/2] (vacuous pass if
     no such index exists).  With restrict_nonzero=False every index is
     checked against its own generalized target M/2^{z+1} +- (d-1)sqrt(M)/2,
-    z = number of nonzero components.
+    z = number of nonzero components.  The off-diagonal maximum is read in
+    A itself, so the peak memory is gram's B and A, within gram's check.
     """
     idx = as_indices(index_set)
     N, d = idx.shape
@@ -80,9 +81,11 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
         )
     grid = weil_grid(M, d)
     A = gram(grid, idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    diag = A.diagonal().copy()
+    A.flat[::N + 1] = 0.0  # the off-diagonal maximum, read in place
+    max_off = float(np.abs(A, out=A).max())
 
     off_bound = ((d - 1) * math.sqrt(M) + 1.0) / 2.0
-    max_off = float(np.max(np.abs(A[~np.eye(N, dtype=bool)]), initial=0.0))
     offdiag_pass = max_off <= off_bound + FP_TOL
 
     radius = (d - 1) * math.sqrt(M) / 2.0
@@ -93,7 +96,7 @@ def check_gram_bounds(M: int, index_set, restrict_nonzero: bool = True) -> GramB
     # M/2^{z+1}; the restricted mode checks only the indices with z = d.
     z = np.count_nonzero(idx, axis=1)
     checked = z == d if restrict_nonzero else np.ones(N, dtype=bool)
-    vals, c_z = np.diag(A)[checked], M / 2.0 ** (z[checked] + 1)
+    vals, c_z = diag[checked], M / 2.0 ** (z[checked] + 1)
     diag_pass = bool(np.all((c_z - radius - FP_TOL <= vals)
                             & (vals <= c_z + radius + FP_TOL)))
     if vals.size:

@@ -295,7 +295,9 @@ def evaluate_fit(fit: FitResult, pts) -> np.ndarray:
     through row blocks of about 32768 entries of the design matrix, which is
     never held whole, and at one BLAS thread the values equal
     basis_matrix(...) @ fit.coefficients bit for bit.  Coefficients that
-    break the vector rule raise ValueError.  To score several fits on one
+    break the vector rule raise ValueError, and so, before the 1-d tables
+    are built, does a pass whose 8*m*(d*(q+1) + 1) bytes of tables and
+    values exceed the machine's physical memory.  To score several fits on one
     test sample, diagnostics.l2_error takes a sequence of fits and evaluates
     them all in one pass.
     """

@@ -260,9 +260,10 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
     hypotheses of Weil's bound |sum| <= (d-1)*sqrt(M); M and the
     coefficients are ints (else ValueError).  The residues f(j) mod M
     are computed by exact int64 Horner evaluation, so M <= 3 037 000 499; each
-    term contributes one complex exponential.  The arrays of M entries take
-    48*M bytes at their peak; a sum whose arrays exceed the machine's physical
-    memory is refused with ValueError before anything is allocated.
+    term contributes one complex exponential, taken in place.  The arrays of
+    M entries take 32*M bytes at their traced peak; a sum whose arrays exceed
+    the machine's physical memory is refused with ValueError before anything
+    is allocated.
     """
     M = _integer("M", M)
     _check_modulus(M)
@@ -274,9 +275,11 @@ def weil_exponential_sum(coeffs, M: int) -> complex:
             "all coefficients are divisible by M; the exponential-sum bound "
             "hypothesis fails"
         )
-    check_memory(f"the exponential sum for M={M}", 48 * M)
+    check_memory(f"the exponential sum for M={M}", 32 * M)
     acc = _polynomial_residues(cmod, np.arange(M, dtype=np.int64), M)
-    return complex(np.exp((2j * np.pi / M) * acc).sum())
+    z = acc * (2j * np.pi / M)
+    del acc
+    return complex(np.exp(z, out=z).sum())
 
 
 def _validate_box(box, d):

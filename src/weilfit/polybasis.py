@@ -245,12 +245,14 @@ def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
 
     A pass holds at most d*(qmax+1) value arrays, as many as the tables
     have rows, so more expansions take more passes over the points and
-    memory stays a small multiple of the tables.  Each array is handed over
-    as it is yielded; the iterator keeps no reference to it.  Every input is
-    validated before the iterator is returned: the points by point_array's
-    rule, of the union's dimension, and each coeffs by the vector rule
-    (pointgen._values), a real, finite array of shape exactly (N,), N its
-    set's size.
+    memory stays a small multiple of the tables: ValueError before the
+    tables are built when their 8*m*d*(qmax+1) bytes and those of the value
+    arrays one pass holds exceed the machine's physical memory.  Each array
+    is handed over as it is yielded; the iterator keeps no reference to it.
+    Every input is validated before the iterator is returned: the points by
+    point_array's rule, of the union's dimension, and each coeffs by the
+    vector rule (pointgen._values), a real, finite array of shape exactly
+    (N,), N its set's size.
     """
     idxs = [as_indices(index_set) for index_set in index_sets]
     coeffs = list(coeffs)
@@ -261,8 +263,10 @@ def evaluate_expansions(spec: BasisSpec, index_sets, pts, coeffs):
     arr = point_array(pts, union.shape[1])
     columns = [_columns(union, idx) for idx in idxs]
     cs = [_values(c, idx.shape[0], "coeffs") for c, idx in zip(coeffs, idxs)]
-    held = union.shape[1] * (int(union.max()) + 1)
-    return _passes(_levels(spec, union, arr), arr.shape[0], union.shape[0],
+    m, held = arr.shape[0], union.shape[1] * (int(union.max()) + 1)
+    check_memory(f"the evaluation pass over {m} points",
+                 8 * m * (held + min(len(cs), held)))
+    return _passes(_levels(spec, union, arr), m, union.shape[0],
                    list(zip(columns, cs)), held)
 
 

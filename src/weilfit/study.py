@@ -74,10 +74,9 @@ class StudyConfig:
             _choice(name.replace("_", " "), getattr(self, name), allowed)
         # q_min, q_max and coeff_seed keep their own range messages, below
         minimum = {"d": 1, "repetitions": 1, "seed": 0, "n_test": 1}
-        for f in fields(self):
-            if f.type == "int":
-                setattr(self, f.name, _integer(f.name, getattr(self, f.name),
-                                               minimum.get(f.name)))
+        for name, kind in TYPES.items():
+            if kind is int:
+                setattr(self, name, _integer(name, getattr(self, name), minimum.get(name)))
         if self.q_min < 0 or self.q_max < self.q_min:
             raise ValueError(f"bad q range [{self.q_min}, {self.q_max}]")
         if isinstance(self.c, bool) or not isinstance(self.c, numbers.Real):
@@ -116,13 +115,16 @@ class StudyConfig:
         return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
 
 
+# The type of each StudyConfig setting, which its config key and flag parse.
+TYPES = typing.get_type_hints(StudyConfig)
+
+
 def load_config(path) -> dict:
     """Parse a flat key=value config file ('#' starts a comment) into a dict
     of StudyConfig fields, each value parsed as its field's type.
 
     A malformed line, an unknown or repeated key or an unparsable value
     raises ValueError naming the file and line; StudyConfig checks them."""
-    known = typing.get_type_hints(StudyConfig)
     values, first = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -132,12 +134,12 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            if key not in known:
+            if key not in TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if first.setdefault(key, lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} "
                                  f"(first on line {first[key]})")
-            kind = known[key]
+            kind = TYPES[key]
             try:
                 values[key] = kind(val)
             except ValueError:
@@ -194,30 +196,24 @@ def run(cfg: StudyConfig, values):
 
     `cells` iterates over (points, index_set) for each repetition of each
     cell with m >= N, in (q, rep) order, and `values` returns one float per
-    item.  Returns (rows, reps): one (q, N, m, M, mean over repetitions) row
-    per order and one (q, rep, value) per repetition, in (q, rep) order; a
-    cell with m < N reads inf.  A cell past the modulus limit raises
-    ValueError before any cell is evaluated; a cell too large for physical
-    memory is refused by the memory check of lstsq's condition or solve.
+    item (ValueError if it returns more or fewer).  Returns (rows, reps): one
+    (q, N, m, M, mean over repetitions) row per order and one (q, rep, value)
+    per repetition, in (q, rep) order; a cell with m < N reads inf.  A cell
+    past the modulus limit raises ValueError before any cell is evaluated; a
+    cell too large for physical memory is refused by the memory check of
+    lstsq's condition or solve.
     """
     cells = [(q,) + realize_cell(cfg, q) for q in range(cfg.q_min, cfg.q_max + 1)]
-
-    def evaluated():
-        for q, index_set, N, m, M in cells:
-            if m < N:
-                continue
-            for rep in range(cfg.repetitions):
-                yield cell_points(cfg, q, m, M, rep), index_set
-
-    scores = iter(values(evaluated()))
-    R = cfg.repetitions
-    vals = [next(scores) if m >= N else math.inf
-            for q, index_set, N, m, M in cells for rep in range(R)]
-    rows = [(q, N, m, M, float(np.mean(vals[k * R:(k + 1) * R])))
-            for k, (q, index_set, N, m, M) in enumerate(cells)]
+    R = range(cfg.repetitions)
+    evaluated = [(q, rep, index_set, m, M)
+                 for q, index_set, N, m, M in cells if m >= N for rep in R]
+    scores = dict(zip([cell[:2] for cell in evaluated],
+                      values((cell_points(cfg, q, m, M, rep), index_set)
+                             for q, rep, index_set, m, M in evaluated), strict=True))
+    reps = [(q, rep, scores.get((q, rep), math.inf)) for q, *_ in cells for rep in R]
+    rows = [(q, N, m, M, float(np.mean([scores.get((q, rep), math.inf) for rep in R])))
+            for q, _, N, m, M in cells]
     assert all(is_prime(M) and m == M // 2 + 1 for _, _, m, M, _ in rows)  # bookkeeping
-    reps = [(cell[0], rep, vals[k * R + rep])
-            for k, cell in enumerate(cells) for rep in range(R)]
     return rows, reps
 
 

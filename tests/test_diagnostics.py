@@ -273,6 +273,31 @@ def test_spectral_gap_holds_no_more_than_gram_checks(monkeypatch):
         spectral_gap(M, idx)
 
 
+def test_check_gram_bounds_holds_no_more_than_gram_checks(monkeypatch):
+    # TD q = 30 in d = 2: N = 496 > m = 106.  The off-diagonal maximum is
+    # read in A in place, so the peak is gram's B and A, within gram's few
+    # 256 KiB block temporaries; a boolean mask and two off-diagonal copies
+    # of A came to about 26*N*N bytes, above the check
+    idx = build_index_set("TD", 30, 2)
+    M, N = 211, idx.N
+    need = 8 * ((M // 2 + 1) * N + 2 * N * N)
+    tracemalloc.start()
+    try:
+        report = check_gram_bounds(M, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need + 2**18
+    A = gram(weil_grid(M, 2), idx, CHEBYSHEV_CLASSICAL, UNIT_WEIGHTS)
+    diag = A.diagonal()[np.count_nonzero(idx.array, axis=1) == 2]
+    assert report.max_offdiag_abs == float(np.max(np.abs(A[~np.eye(N, dtype=bool)])))
+    assert (report.diag_min, report.diag_max) == (float(diag.min()), float(diag.max()))
+    assert report.passed
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^the 496 x 496 Gram matrix needs "):
+        check_gram_bounds(M, idx)
+
+
 def test_spectral_gap_rejects_zero_components():
     with pytest.raises(ValueError):
         spectral_gap(67, [(1, 0), (1, 1)])

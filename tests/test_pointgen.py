@@ -292,16 +292,18 @@ def test_weil_sum_bound_random_vectors():
 
 
 def test_weil_sum_refuses_arrays_larger_than_physical_memory(monkeypatch):
-    # 48*M bytes, the traced peak: 4848 for M = 101, against stand-in memory
+    # 32*M bytes, the traced peak: 3232 for M = 101, against stand-in memory
     # sizes just above and just below
-    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 48 * 101)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 32 * 101)
     assert abs(weil_exponential_sum([1, 1], 101)) <= math.sqrt(101) + 1e-9
-    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 48 * 101 - 1)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 32 * 101 - 1)
     with pytest.raises(ValueError, match="M=101 needs .* physical memory"):
         weil_exponential_sum([1, 1], 101)
 
 
-def test_weil_sum_peak_memory_is_48_bytes_per_term():
+def test_weil_sum_peak_memory_is_32_bytes_per_term():
+    # the int64 residues and their complex phases, then the phases alone,
+    # exponentiated in place
     M = 100003
     tracemalloc.start()
     try:
@@ -309,7 +311,7 @@ def test_weil_sum_peak_memory_is_48_bytes_per_term():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 40 * M < peak <= 48 * M + 4096
+    assert 32 * M <= peak <= 32 * M + 4096
 
 
 def test_weil_sum_rejects_degenerate_input():

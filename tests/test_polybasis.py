@@ -395,6 +395,45 @@ def test_basis_matrix_larger_than_physical_memory_raises(monkeypatch):
         solve(pts, np.zeros(100), idx, CHEBYSHEV_CLASSICAL)
 
 
+def test_evaluation_pass_checks_its_memory_before_building_the_tables(monkeypatch):
+    # 8*m*(rows + min(k, rows)) bytes for k expansions, rows = d*(qmax+1):
+    # the 1-d tables and the value vectors one pass holds.  One TD q = 12 fit
+    # in d = 3 (39 table rows) on 40000 points peaks at the check plus a few
+    # block-sized temporaries
+    m, d, q = 40000, 3, 12
+    idx = build_index_set("TD", q, d)
+    rng = np.random.default_rng(0)
+    fit = solve(rng.uniform(-1.0, 1.0, (2000, d)), rng.standard_normal(2000), idx,
+                LEGENDRE_ORTHONORMAL)
+    pts = rng.uniform(-1.0, 1.0, (m, d))
+    need = 8 * m * (d * (q + 1) + 1)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need)
+    tracemalloc.start()
+    try:
+        evaluate_fit(fit, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert need <= peak <= need + 6 * 8 * _BLOCK_ENTRIES
+    # 40 expansions at qmax = 6 in d = 2 hold 14 value vectors, one per row
+    sets = [build_index_set("TD", k % 7, 2) for k in range(40)]
+    cs = [np.ones(len(s)) for s in sets]
+    small = np.zeros((100, 2))
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 8 * 100 * (14 + 14))
+    assert len(list(evaluate_expansions(LEGENDRE_ORTHONORMAL, sets, small, cs))) == 40
+
+    def no_tables(*args):
+        raise AssertionError("the 1-d tables were built")
+
+    monkeypatch.setattr("weilfit.polybasis._tables", no_tables)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^the evaluation pass over 40000 points needs "):
+        evaluate_fit(fit, pts)
+    monkeypatch.setattr("weilfit.pointgen._physical_memory", lambda: 8 * 100 * 28 - 1)
+    with pytest.raises(ValueError, match=r"^the evaluation pass over 100 points needs "):
+        evaluate_expansions(LEGENDRE_ORTHONORMAL, sets, small, cs)
+
+
 def _legendre_restarted(y, n):
     # P_n alone: the recurrence (k+1) P_{k+1} = (2k+1) y P_k - k P_{k-1}
     # run from P_0 up to order n, as a reference for the one-pass table

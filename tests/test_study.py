@@ -8,7 +8,8 @@ import pytest
 
 from weilfit.diagnostics import l2_error
 from weilfit.lstsq import SingularSystemError, condition, solve
-from weilfit.study import StudyConfig, cell_points, cond_study, conv_study, realize_cell
+from weilfit.study import (StudyConfig, cell_points, cond_study, conv_study, realize_cell,
+                           run)
 from weilfit.targets import make
 
 
@@ -47,3 +48,19 @@ def test_cond_study_rows_are_the_mean_cond_A_of_each_cell():
         assert [v for p, _, v in reps if p == q] == values
         assert mean == float(np.mean(values))
     assert rows[0][4] == math.inf and all(math.isfinite(row[4]) for row in rows[1:])
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-too-few", "one-too-many"])
+def test_run_refuses_a_scorer_that_returns_the_wrong_number_of_scores(extra):
+    # six evaluated cells (q = 1..3, two repetitions each); the scores are
+    # matched to their cells one to one, never cut or run short
+    cfg = StudyConfig(d=1, q_max=3, scaling="linear", c=2.0, grid="mc_uniform",
+                      repetitions=2)
+
+    def values(cells):
+        scores = [float(len(pts.points)) for pts, _ in cells]
+        assert len(scores) == 6
+        return scores[:extra] if extra < 0 else scores + [0.0] * extra
+
+    with pytest.raises(ValueError):
+        run(cfg, values)
